@@ -5,20 +5,15 @@ Run:  python examples/analysis_demo.py
 
 Three tools every access-control administrator reaches for:
 
-1. *why was this denied?* — per-condition explanations of access and
-   activation decisions;
+1. *why was this denied?* — the derivation of one access decision,
+   in the checkAccess rule's clause order (``engine.explain()``);
 2. *who can do X?* — effective entitlement review (hierarchy included);
 3. *what is stale?* — hygiene findings (empty roles, dead permissions,
    redundant roles) plus static verification of the generated rules.
 """
 
 from repro import ActiveRBACEngine, parse_policy
-from repro.analysis import (
-    explain_access,
-    explain_activation,
-    policy_hygiene,
-    who_can,
-)
+from repro.analysis import policy_hygiene, who_can
 from repro.synthesis.verify import render_findings, verify_rule_pool
 
 POLICY = """
@@ -42,14 +37,11 @@ def main() -> None:
     engine = ActiveRBACEngine.from_policy(parse_policy(POLICY))
 
     print("=" * 68)
-    print("1. explanations")
+    print("1. explanation")
     print("=" * 68)
     sid = engine.create_session("raj")
     engine.add_active_role(sid, "Auditor")
-    print(explain_access(engine, sid, "post", "ledger").describe())
-    print()
-    engine.assign_user("raj", "Accountant")
-    print(explain_activation(engine, sid, "Accountant").describe())
+    print(engine.explain(sid, "post", "ledger").describe())
 
     print()
     print("=" * 68)

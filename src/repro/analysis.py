@@ -1,11 +1,9 @@
-"""Policy analysis: explanations, reviews and hygiene reports.
+"""Policy analysis: entitlement reviews and hygiene reports.
 
-Administrators of rule-based systems ask three questions the raw engine
-does not answer directly:
+Administrators of rule-based systems ask two questions the raw engine
+does not answer directly (*why* one request was denied is
+``engine.explain()``, see :mod:`repro.obs.provenance`):
 
-* **why** was this request denied (:func:`explain_access`,
-  :func:`explain_activation`) — each W-clause check evaluated and
-  reported individually, in rule order;
 * **who can** do what (:func:`who_can`, :func:`permission_matrix`) —
   the effective entitlement review the NIST economic-impact report
   motivates RBAC with;
@@ -24,117 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine import ActiveRBACEngine
 
 
-@dataclass(frozen=True)
-class Check:
-    """One evaluated condition in an explanation."""
-
-    description: str
-    passed: bool
-
-    def describe(self) -> str:
-        return f"[{'ok' if self.passed else 'FAIL'}] {self.description}"
-
-
-@dataclass
-class Explanation:
-    """The full story of one decision."""
-
-    request: str
-    allowed: bool
-    checks: list[Check] = field(default_factory=list)
-
-    @property
-    def first_failure(self) -> Check | None:
-        return next((c for c in self.checks if not c.passed), None)
-
-    def describe(self) -> str:
-        verdict = "ALLOWED" if self.allowed else "DENIED"
-        lines = [f"{self.request}: {verdict}"]
-        lines.extend("  " + check.describe() for check in self.checks)
-        if not self.allowed and self.first_failure:
-            lines.append(f"  => denied by: {self.first_failure.description}")
-        return "\n".join(lines)
-
-
-def explain_access(engine: "ActiveRBACEngine", session_id: str,
-                   operation: str, obj: str,
-                   purpose: str | None = None) -> Explanation:
-    """Evaluate every checkAccess condition individually (paper Rule 5
-    plus the context/privacy extensions), without side effects."""
-    model = engine.model
-    session = model.sessions.get(session_id)
-    user = session.user if session else None
-    checks = [
-        Check("sessionId IN sessionL", session is not None),
-        Check("user NOT locked", not engine.is_user_locked(user)),
-        Check("operation IN opsL", operation in model.operations),
-        Check("object IN objL", obj in model.objects),
-    ]
-    if session is not None:
-        role_checks = []
-        for role in sorted(session.active_roles):
-            has_perm = model.role_has_permission(role, operation, obj)
-            context_ok = engine.access_context_ok(role)
-            role_checks.append((role, has_perm, context_ok))
-        any_role = any(p and c for _r, p, c in role_checks)
-        detail = ", ".join(
-            f"{role}(perm={'y' if p else 'n'},ctx={'y' if c else 'n'})"
-            for role, p, c in role_checks) or "no active roles"
-        checks.append(Check(
-            f"ForANY active role holds permission with context [{detail}]",
-            any_role))
-    else:
-        checks.append(Check("ForANY active role holds permission", False))
-    privacy_ok, _obligations = engine.privacy_ok(obj, operation, purpose)
-    checks.append(Check(
-        f"objectPolicy({obj!r}, {operation!r}, purpose={purpose!r})",
-        privacy_ok))
-    return Explanation(
-        request=f"checkAccess({session_id!r}, {operation!r}, {obj!r})",
-        allowed=all(c.passed for c in checks),
-        checks=checks,
-    )
-
-
-def explain_activation(engine: "ActiveRBACEngine", session_id: str,
-                       role: str) -> Explanation:
-    """Evaluate every AAR + CC condition individually (paper Rule 3/4)."""
-    model = engine.model
-    session = model.sessions.get(session_id)
-    user = session.user if session else None
-    role_known = role in model.roles
-    checks = [
-        Check("sessionId IN sessionL", session is not None),
-        Check("user NOT locked", not engine.is_user_locked(user)),
-        Check("role IN roleL", role_known),
-    ]
-    if session is not None and role_known:
-        checks.extend([
-            Check(f"{role} NOT IN checkSessionRoles",
-                  role not in session.active_roles),
-            Check(f"roleEnabled({role})", model.is_role_enabled(role)),
-            Check(f"checkAuthorization{role}(user)",
-                  model.is_authorized(user, role)),
-            Check("checkDynamicSoDSet(user, role)",
-                  model.sod.dsd_ok(session.active_roles, role)),
-            Check("prerequisite roles active in session",
-                  engine.prerequisites_ok(session_id, role)),
-            Check("transaction anchor activated",
-                  engine.transaction_anchor_ok(role)),
-            Check("context constraints satisfied",
-                  engine.activation_context_ok(role)),
-            Check(f"Cardinality{role}(INCR) within bound",
-                  engine.role_cardinality_ok(role, user)),
-            Check("activeRoleCount(user) within bound",
-                  engine.user_cardinality_ok(user, role)),
-        ])
-    return Explanation(
-        request=f"addActiveRole({session_id!r}, {role!r})",
-        allowed=all(c.passed for c in checks),
-        checks=checks,
-    )
-
-
 # ---------------------------------------------------------------------------
 # entitlement review
 # ---------------------------------------------------------------------------
@@ -142,13 +29,17 @@ def explain_activation(engine: "ActiveRBACEngine", session_id: str,
 def who_can(engine: "ActiveRBACEngine", operation: str,
             obj: str) -> dict[str, set[str]]:
     """Users able (when activating the right role) to perform the
-    operation, mapped to the roles that would entitle them."""
+    operation as a flat (unscoped) check, mapped to the roles that
+    would entitle them.  An assignment bounded to a scope never
+    satisfies a flat check, so a user authorized for a role only
+    through such assignments is not listed for it."""
     model = engine.model
     result: dict[str, set[str]] = {}
     entitling = model.roles_with_permission(operation, obj)
     for role in entitling:
         for user in model.authorized_users(role):
-            result.setdefault(user, set()).add(role)
+            if model.assignment_covers(user, role, None):
+                result.setdefault(user, set()).add(role)
     return result
 
 

@@ -30,6 +30,7 @@ engine and administer it imperatively.
 from __future__ import annotations
 
 import time
+from typing import Any, Iterable
 
 from repro.clock import Deadline, TimerService, VirtualClock
 from repro.containment import FailurePolicy
@@ -167,8 +168,9 @@ class ActiveRBACEngine(EnforcementHelpers):
         #: (session_id, role) -> simulated start time of the current
         #: activation (persistence re-arms remaining durations from it)
         self.activation_started: dict[tuple[str, str], float] = {}
-        #: decision slot for checkAccess (None outside a check)
-        self._decision: bool | None = None
+        #: decision slot for checkAccess: the name of the rule that
+        #: granted the check in flight (None outside a check)
+        self._decision: str | None = None
 
         # privacy registry from the policy
         for purpose, parent in self.policy.purposes:
@@ -681,13 +683,13 @@ class ActiveRBACEngine(EnforcementHelpers):
         previous = self._decision
         previous_deadline = self.rules.deadline
         granted = False
-        denial = None
+        rule = cause = None
         start = time.perf_counter_ns()
         try:
             # the decision slot and dispatch deadline are armed inside
             # the try so a fault between here and dispatch can never
             # leak a stale decision/deadline into the next check
-            self._decision = False
+            self._decision = None
             self.rules.deadline = deadline
             if deadline is not None:
                 # a budget exhausted before dispatch (the request sat in
@@ -723,37 +725,26 @@ class ActiveRBACEngine(EnforcementHelpers):
                     "Permission Denied (no rule granted the request)"
                 )
         except DeadlineExceeded as exc:
-            denial = exc
+            rule, cause = exc.rule, type(exc).__name__
+            if exc.reason:
+                cause = f"{cause}:{exc.reason}"
             self.obs.deadline_hit(exc.reason)
             self.audit.record("deadline.exceeded", operation=operation,
                               object=obj, session=session_id,
                               reason=exc.reason)
             raise
         except ReproError as exc:
-            denial = exc  # captured for the flight-recorder entry
+            # captured for the flight-recorder entry
+            rule, cause = getattr(exc, "rule", None), type(exc).__name__
             raise
         finally:
+            if granted:
+                rule = self._decision
             self._decision = previous
             self.rules.deadline = previous_deadline
-            flight = self.flight
-            if flight.enabled:
-                cause = None
-                if denial is not None:
-                    cause = type(denial).__name__
-                    detail = getattr(denial, "reason", None)
-                    if detail:
-                        cause = f"{cause}:{detail}"
-                seq = flight._seq = flight._seq + 1
-                flight._buf[seq % flight.capacity] = (
-                    "decision", seq, self.clock.now, "interpreted",
-                    session_id, user, operation, obj,
-                    "grant" if granted else "deny",
-                    getattr(denial, "rule", None), fallback_reason,
-                    cause, scope)
-            self._after_decision("interpreted", session_id, user,
-                                 operation, obj, granted, purpose, scope)
-            self.obs.access_decision(granted,
-                                     time.perf_counter_ns() - start)
+            self._finish_decision("interpreted", start, session_id, user,
+                                  operation, obj, granted, rule, cause,
+                                  fallback_reason, purpose, scope)
 
     # ======================================================================
     # decision plane (PolicyKernel)
@@ -857,24 +848,54 @@ class ActiveRBACEngine(EnforcementHelpers):
                         purpose=purpose, granted=granted, path=path,
                         scope=scope)
 
+    def _finish_decision(self, path: str, start: int, session_id: str,
+                         user: str | None, operation: str, obj: str,
+                         granted: bool, rule: str | None,
+                         cause: str | None,
+                         fallback_reason: str | None,
+                         purpose: str | None,
+                         scope: str | None) -> None:
+        """The tail of every checkAccess, on both serving paths.
+
+        Appends the flight-recorder ``decision`` tuple (inlined
+        :meth:`FlightRecorder.note_decision`: this runs on the kernel
+        hot path, bounded by the smoke job's provenance budget), runs
+        :meth:`_after_decision` and observes the end-to-end decision
+        histogram.  ``rule`` names the rule that granted or denied and
+        ``cause`` the typed error of a deny.
+        """
+        flight = self.flight
+        if flight.enabled:
+            seq = flight._seq = flight._seq + 1
+            flight._buf[seq % flight.capacity] = (
+                "decision", seq, self.clock.now, path, session_id, user,
+                operation, obj, "grant" if granted else "deny", rule,
+                fallback_reason, cause, scope)
+        self._after_decision(path, session_id, user, operation, obj,
+                             granted, purpose, scope)
+        self.obs.access_decision(granted, time.perf_counter_ns() - start)
+
     def _commit_kernel_decision(self, kernel: "PolicyKernel", granted: bool,
                                 session_id: str, operation: str, obj: str,
                                 user: str | None,
                                 scope: str | None = None) -> None:
-        """Apply a kernel verdict with interpreted-pipeline parity.
+        """Commit a kernel verdict through the CA rule's own commit.
 
-        Mirrors exactly what one checkAccess dispatch through the CA
-        rule would have done: event/dispatch counters, rule branch
-        counters (the collect-time ``repro_rule_firings_total`` mirror
-        reads them), audit records in firing order, the *real*
-        ``accessDenied`` event on deny (active-security counter-
-        measures must see denials and may propagate instead), and the
-        end-to-end decision histogram.
+        The kernel answered the rule's W clause, so the firing itself
+        never ran.  This keeps that firing's bookkeeping — event and
+        dispatch counters, the rule's branch counters (the collect-time
+        ``repro_rule_firings_total`` mirror reads them), the typed-error
+        counter and the firing observer's ``rule.else`` record — and
+        hands the THEN/ELSE body to :meth:`commit_access`, exactly as
+        the rule's actions do.  It never writes the ``_decision`` slot,
+        so a nested kernel grant cannot leak into an outer interpreted
+        check.
         """
         obs = self.obs
         detector = self.detector
         ca = kernel._ca
         start = time.perf_counter_ns()
+        rule, cause = ca.name, None
         try:
             # event-substrate parity: one raise, one primitive dispatch
             detector._raised_count += 1
@@ -887,68 +908,32 @@ class ActiveRBACEngine(EnforcementHelpers):
                 pair[0]._value += 1
                 pair[1]._value += 1
                 obs._cascade_shallow += 1
+                if granted:
+                    obs._kernel_grant._value += 1
+                else:
+                    obs._kernel_deny._value += 1
             ca.fired_count += 1
-            flight = self.flight
-            if flight.enabled:
-                # provenance: inlined FlightRecorder.note_decision —
-                # this is the kernel hot path, bounded <3% by the
-                # smoke job's provenance budget
-                seq = flight._seq = flight._seq + 1
-                flight._buf[seq % flight.capacity] = (
-                    "decision", seq, self.clock.now, "kernel",
-                    session_id, user, operation, obj,
-                    "grant" if granted else "deny", ca.name, None,
-                    None if granted else "OperationDenied", scope)
             if granted:
                 ca.then_count += 1
-                if obs.enabled:
-                    obs._kernel_grant._value += 1
-                if scope is None:
-                    self.audit.record("decision.allow", category="access",
-                                      user=user, operation=operation,
-                                      object=obj)
-                else:
-                    self.audit.record("decision.allow", category="access",
-                                      user=user, operation=operation,
-                                      object=obj, scope=scope)
-                return
-            ca.else_count += 1
-            if obs.enabled:
-                obs._kernel_deny._value += 1
-            # E-branch order matters: the denial event fires before the
-            # audit record and the typed error, exactly as the rule's
-            # alt_actions do — a SecurityLockout countermeasure raised
-            # by the cascade propagates instead of OperationDenied
-            if scope is None:
-                detector.raise_event("accessDenied", user=user,
-                                     sessionId=session_id,
-                                     operation=operation, object=obj)
-                self.audit.record("decision.deny", category="access",
-                                  user=user, operation=operation,
-                                  object=obj)
             else:
-                detector.raise_event("accessDenied", user=user,
-                                     sessionId=session_id,
-                                     operation=operation, object=obj,
-                                     scope=scope)
-                self.audit.record("decision.deny", category="access",
-                                  user=user, operation=operation,
-                                  object=obj, scope=scope)
-            error = OperationDenied("Permission Denied", rule=ca.name)
+                ca.else_count += 1
+            self.commit_access(granted, session_id, user, operation, obj,
+                               scope, ca.name)
+        except ReproError as error:
+            # the rule manager's veto bookkeeping for the skipped firing
+            rule, cause = getattr(error, "rule", None), type(error).__name__
             if obs.enabled:
-                child = obs._error_cache.get((ca.name, OperationDenied))
+                child = obs._error_cache.get((ca.name, type(error)))
                 if child is None:
                     child = obs.bind_error(ca.name, error)
                 child._value += 1
-            # firing-observer parity (engine._record_rule_firing)
             self.audit.record("rule.else", rule=ca.name,
-                              event="checkAccess", error="OperationDenied")
-            raise error
+                              event="checkAccess", error=cause)
+            raise
         finally:
-            self._after_decision("kernel", session_id, user,
-                                 operation, obj, granted, None, scope)
-            self.obs.access_decision(granted,
-                                     time.perf_counter_ns() - start)
+            self._finish_decision("kernel", start, session_id, user,
+                                  operation, obj, granted, rule, cause,
+                                  None, None, scope)
 
     # ======================================================================
     # GTRBAC role status
@@ -973,9 +958,53 @@ class ActiveRBACEngine(EnforcementHelpers):
     # commit helpers — called ONLY from generated rule actions
     # ======================================================================
 
-    def grant_decision(self) -> None:
-        """THEN action of the checkAccess rule: allow."""
-        self._decision = True
+    def grant_decision(self, rule: str) -> None:
+        """THEN action of the checkAccess rule: ``rule`` allows the
+        check in flight."""
+        self._decision = rule
+
+    def commit_access(self, granted: bool, session_id: str,
+                      user: str | None, operation: str, obj: str,
+                      scope: str | None, rule: str,
+                      obligations: Iterable[str] = ()) -> None:
+        """THEN/ELSE body of the checkAccess rule (paper Rule 5).
+
+        Both serving paths commit here: the rule's own actions on the
+        interpreted path, :meth:`_commit_kernel_decision` on the kernel
+        path.  A grant audits the owed privacy obligations, then
+        ``decision.allow``.  A deny raises the *real* ``accessDenied``
+        event first (active-security countermeasures see every denial
+        and may propagate a :class:`~repro.errors.SecurityLockout`
+        instead), then audits ``decision.deny`` and raises
+        :class:`~repro.errors.OperationDenied` naming ``rule``.
+        """
+        audit = self.audit
+        if granted:
+            for obligation in obligations:
+                audit.record("obligation.owed", obligation=obligation,
+                             object=obj, user=user)
+            if scope is None:
+                audit.record("decision.allow", category="access",
+                             user=user, operation=operation, object=obj)
+            else:
+                audit.record("decision.allow", category="access",
+                             user=user, operation=operation, object=obj,
+                             scope=scope)
+            return
+        if scope is None:
+            self.detector.raise_event("accessDenied", user=user,
+                                      sessionId=session_id,
+                                      operation=operation, object=obj)
+            audit.record("decision.deny", category="access", user=user,
+                         operation=operation, object=obj)
+        else:
+            self.detector.raise_event("accessDenied", user=user,
+                                      sessionId=session_id,
+                                      operation=operation, object=obj,
+                                      scope=scope)
+            audit.record("decision.deny", category="access", user=user,
+                         operation=operation, object=obj, scope=scope)
+        raise OperationDenied("Permission Denied", rule=rule)
 
     def commit_session(self, session_id: str, user: str) -> None:
         self.model.create_session_record(session_id, user)

@@ -123,7 +123,7 @@ class FlightRecorder:
                       cause: str | None = None,
                       scope: str | None = None) -> None:
         """Record one access decision (cold-path convenience; the
-        engine inlines this body at its two decision sites)."""
+        engine inlines this body in its shared decision tail)."""
         if self.enabled:
             seq = self._seq = self._seq + 1
             self._buf[seq % self.capacity] = (

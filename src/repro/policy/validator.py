@@ -28,6 +28,7 @@ from collections import defaultdict, deque
 
 from repro.errors import PolicyValidationError
 from repro.policy.spec import PolicySpec
+from repro.rbac.sod import hierarchy_conflicts
 
 
 def _find_cycle(edges: list[tuple[str, str]]) -> list[str] | None:
@@ -142,15 +143,9 @@ def validate_policy(spec: PolicySpec,
     # SSD vs hierarchy: any single role authorized for >= n set members
     # makes the constraint unsatisfiable for every user of that role.
     if not cycle:
-        for sod in spec.ssd.values():
-            for role in roles:
-                covered = _juniors_inclusive(role, down) & sod.roles
-                if len(covered) >= sod.cardinality:
-                    issues.append(
-                        f"SSD set {sod.name!r} conflicts with the "
-                        f"hierarchy: role {role!r} alone is authorized "
-                        f"for {sorted(covered)}"
-                    )
+        issues.extend(hierarchy_conflicts(
+            spec.ssd.values(), roles,
+            lambda role: _juniors_inclusive(role, down)))
 
     # -- assignments vs SSD ----------------------------------------------------------
     assigned: dict[str, set[str]] = defaultdict(set)

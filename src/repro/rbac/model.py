@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.rbac.hierarchy import RoleHierarchy
 from repro.rbac.scopes import SCOPE_ROOT, ScopeTree, UnknownScopeError
-from repro.rbac.sod import SodRegistry
+from repro.rbac.sod import SodRegistry, hierarchy_conflicts
 
 
 @dataclass(frozen=True)
@@ -290,13 +290,18 @@ class RBACModel:
 
         The edge is rejected when it would put any user's authorized
         role set in violation of an SSD constraint (hierarchical SSD,
-        ANSI §6.3) — e.g. enterprise XYZ's PM inherits the SSD of PC.
-        Only users *authorized for the senior side* can be affected
-        (they are exactly those who acquire the junior's closure), so
-        the check scans those, not the whole user population.
+        ANSI §6.3) — e.g. enterprise XYZ's PM inherits the SSD of PC —
+        or when it would make any single role alone authorized for a
+        violating combination (:func:`~repro.rbac.sod.hierarchy_conflicts`,
+        the validator's rule), users or not.  Only the senior side
+        acquires the junior's closure, so both checks scan the seniors
+        and their authorized users, not the whole population.
         """
         self.hierarchy.add_inheritance(senior, junior)
-        problems = self.sod.check_consistency(
+        problems = hierarchy_conflicts(
+            self.sod.ssd_sets(), self.hierarchy.seniors_inclusive(senior),
+            self.hierarchy.juniors_inclusive)
+        problems += self.sod.check_consistency(
             self.authorized_roles, self.authorized_users(senior)
         )
         if problems:
@@ -427,7 +432,9 @@ class RBACModel:
 
     def create_ssd_set(self, name: str, roles: Iterable[str],
                        cardinality: int) -> None:
-        """CreateSsdSet: the new constraint must hold for current state."""
+        """CreateSsdSet: the new constraint must hold for current state,
+        for every user and for every single role of the hierarchy
+        (:func:`~repro.rbac.sod.hierarchy_conflicts`)."""
         roles = list(roles)
         for role in roles:
             self._require_role(role)
@@ -436,11 +443,14 @@ class RBACModel:
             user for user in self.users
             if constraint.violated_by(self.authorized_roles(user))
         ]
-        if problems:
+        conflicts = hierarchy_conflicts([constraint], self.roles,
+                                        self.hierarchy.juniors_inclusive)
+        if problems or conflicts:
             self.sod.delete_ssd(name)
+            reason = (f"already violated by user(s) {sorted(problems)}"
+                      if problems else "; ".join(conflicts))
             raise SsdViolationError(
-                f"SSD set {name!r} rejected: already violated by "
-                f"user(s) {sorted(problems)}", constraint=name,
+                f"SSD set {name!r} rejected: {reason}", constraint=name,
             )
 
     def delete_ssd_set(self, name: str) -> None:

@@ -83,6 +83,34 @@ class DsdConstraint:
         return len(overlap) >= self.cardinality
 
 
+def hierarchy_conflicts(constraints: Iterable[SsdConstraint],
+                        roles: Iterable[str],
+                        juniors_inclusive: Callable[[str], set[str]],
+                        ) -> list[str]:
+    """Hierarchical SSD checked per *role*: report every (role, SSD
+    set) where the role's junior closure alone covers ``cardinality``
+    or more members of the set.
+
+    Such a role makes the constraint unsatisfiable for every user
+    assigned to it, whether or not anyone holds it yet.  The policy
+    validator, ``RBACModel.add_inheritance`` and
+    ``RBACModel.create_ssd_set`` all refuse these states through this
+    one check, so any state reachable through the admin API is one the
+    validator (and so the config lifecycle) accepts.
+    """
+    problems = []
+    for constraint in constraints:
+        for role in roles:
+            covered = juniors_inclusive(role) & constraint.roles
+            if len(covered) >= constraint.cardinality:
+                problems.append(
+                    f"SSD set {constraint.name!r} conflicts with the "
+                    f"hierarchy: role {role!r} alone is authorized "
+                    f"for {sorted(covered)}"
+                )
+    return problems
+
+
 class SodRegistry:
     """Holds every SSD/DSD constraint and evaluates them.
 

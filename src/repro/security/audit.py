@@ -9,6 +9,7 @@ and alert administrators", paper §3) and the tests' assertions do.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -37,8 +38,10 @@ class AuditLog:
     """Bounded append-only log of :class:`AuditEntry` records.
 
     ``capacity`` bounds memory on long simulations; the oldest entries
-    are dropped first.  ``observers`` receive every entry as it is
-    recorded (the security monitor's report generator hooks here).
+    are dropped first, in O(1) per record (a ring, so a log at capacity
+    costs no more per record than an empty one).  ``observers`` receive
+    every entry as it is recorded (the security monitor's report
+    generator hooks here).
     """
 
     def __init__(self, clock: VirtualClock, capacity: int = 100_000) -> None:
@@ -46,7 +49,7 @@ class AuditLog:
             raise ValueError("audit capacity must be positive")
         self._clock = clock
         self._capacity = capacity
-        self._entries: list[AuditEntry] = []
+        self._entries: deque[AuditEntry] = deque(maxlen=capacity)
         self._dropped = 0
         self._observers: list[Callable[[AuditEntry], None]] = []
         self._kind_counts: dict[str, int] = {}
@@ -71,11 +74,10 @@ class AuditLog:
     def record(self, kind: str, **detail: Any) -> AuditEntry:
         entry = AuditEntry(self._clock.now, kind, detail)
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        self._entries.append(entry)
-        if len(self._entries) > self._capacity:
-            overflow = len(self._entries) - self._capacity
-            del self._entries[:overflow]
-            self._dropped += overflow
+        entries = self._entries
+        if len(entries) == self._capacity:
+            self._dropped += 1  # the append evicts the oldest entry
+        entries.append(entry)
         for observer in self._observers:
             try:
                 observer(entry)
@@ -86,7 +88,7 @@ class AuditLog:
     # -- queries -----------------------------------------------------------------
 
     def tail(self, count: int = 20) -> list[AuditEntry]:
-        return self._entries[-count:]
+        return list(self._entries)[-count:]
 
     def by_kind(self, prefix: str) -> list[AuditEntry]:
         """Entries whose kind equals or starts with ``prefix`` (dotted)."""

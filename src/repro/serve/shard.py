@@ -303,8 +303,8 @@ class Shard:
         """Serve one access check against the published kernel.
 
         Loads the published reference once, answers static checks from
-        it with full side-effect parity (the engine's own commit
-        helper), and delegates anything the kernel classified dynamic —
+        it with full side-effect parity (the CA rule's own commit,
+        through ``engine._commit_kernel_decision``), and delegates anything the kernel classified dynamic —
         or anything the engine-side parity gates exclude (tracing on,
         extra observers, a default deadline) — to the engine's
         interpreted pipeline, which owns the fallback-reason taxonomy.

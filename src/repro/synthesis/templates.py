@@ -35,7 +35,6 @@ from repro.errors import (
     DeactivationDenied,
     DsdViolationError,
     DuplicateEntityError,
-    OperationDenied,
     PrerequisiteNotMetError,
     ReproError,
     RoleNotEnabledError,
@@ -609,51 +608,21 @@ def build_check_access_rule(engine: "ActiveRBACEngine") -> OWTERule:
                       ctx.get("purpose"))[0]),
     ]
 
+    # the THEN/ELSE bodies live in engine.commit_access, which the
+    # kernel path commits through as well
     def allow(ctx: RuleContext) -> None:
-        engine.grant_decision()
-        _allowed, obligations = engine.privacy_ok(
-            ctx.get("object"), ctx.get("operation"), ctx.get("purpose"))
-        for obligation in obligations:
-            engine.audit.record(
-                "obligation.owed", obligation=obligation,
-                object=ctx.get("object"), user=ctx.get("user"))
-        scope = ctx.get("scope")
-        if scope is None:
-            engine.audit.record(
-                "decision.allow", category="access",
-                user=ctx.get("user"), operation=ctx.get("operation"),
-                object=ctx.get("object"))
-        else:
-            engine.audit.record(
-                "decision.allow", category="access",
-                user=ctx.get("user"), operation=ctx.get("operation"),
-                object=ctx.get("object"), scope=scope)
+        engine.grant_decision(name)
+        obj, operation = ctx.get("object"), ctx.get("operation")
+        _allowed, obligations = engine.privacy_ok(obj, operation,
+                                                  ctx.get("purpose"))
+        engine.commit_access(True, ctx.get("sessionId"), ctx.get("user"),
+                             operation, obj, ctx.get("scope"), name,
+                             obligations)
 
     def else_deny(ctx: RuleContext) -> None:
-        scope = ctx.get("scope")
-        if scope is None:
-            engine.detector.raise_event(
-                "accessDenied", user=ctx.get("user"),
-                sessionId=ctx.get("sessionId"),
-                operation=ctx.get("operation"),
-                object=ctx.get("object"),
-            )
-            engine.audit.record(
-                "decision.deny", category="access",
-                user=ctx.get("user"), operation=ctx.get("operation"),
-                object=ctx.get("object"))
-        else:
-            engine.detector.raise_event(
-                "accessDenied", user=ctx.get("user"),
-                sessionId=ctx.get("sessionId"),
-                operation=ctx.get("operation"),
-                object=ctx.get("object"), scope=scope,
-            )
-            engine.audit.record(
-                "decision.deny", category="access",
-                user=ctx.get("user"), operation=ctx.get("operation"),
-                object=ctx.get("object"), scope=scope)
-        raise OperationDenied("Permission Denied", rule=name)
+        engine.commit_access(False, ctx.get("sessionId"), ctx.get("user"),
+                             ctx.get("operation"), ctx.get("object"),
+                             ctx.get("scope"), name)
 
     return OWTERule(
         name=name, event="checkAccess",

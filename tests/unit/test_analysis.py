@@ -1,15 +1,9 @@
-"""Unit tests for policy analysis: explanations, reviews, hygiene."""
+"""Unit tests for policy analysis: entitlement reviews, hygiene."""
 
 import pytest
 
 from repro import ActiveRBACEngine, parse_policy
-from repro.analysis import (
-    explain_access,
-    explain_activation,
-    permission_matrix,
-    policy_hygiene,
-    who_can,
-)
+from repro.analysis import permission_matrix, policy_hygiene, who_can
 
 POLICY = """
 policy analysed {
@@ -35,103 +29,6 @@ def engine():
     return ActiveRBACEngine.from_policy(parse_policy(POLICY))
 
 
-class TestExplainAccess:
-    def test_allowed_explanation(self, engine):
-        sid = engine.create_session("wei")
-        engine.add_active_role(sid, "Dev")
-        explanation = explain_access(engine, sid, "push", "repo")
-        assert explanation.allowed
-        assert all(check.passed for check in explanation.checks)
-        assert "ALLOWED" in explanation.describe()
-
-    def test_denied_pinpoints_missing_activation(self, engine):
-        sid = engine.create_session("wei")  # nothing active
-        explanation = explain_access(engine, sid, "push", "repo")
-        assert not explanation.allowed
-        failure = explanation.first_failure
-        assert "ForANY active role" in failure.description
-        assert "no active roles" in failure.description
-
-    def test_denied_pinpoints_unknown_operation(self, engine):
-        sid = engine.create_session("wei")
-        explanation = explain_access(engine, sid, "fly", "repo")
-        assert explanation.first_failure.description == "operation IN opsL"
-
-    def test_denied_pinpoints_unknown_session(self, engine):
-        explanation = explain_access(engine, "ghost", "push", "repo")
-        assert explanation.first_failure.description == \
-            "sessionId IN sessionL"
-
-    def test_role_detail_shows_per_role_status(self, engine):
-        sid = engine.create_session("ana")
-        engine.add_active_role(sid, "Intern")
-        explanation = explain_access(engine, sid, "push", "repo")
-        failure = explanation.first_failure
-        assert "Intern(perm=n" in failure.description
-
-    def test_privacy_check_included(self, engine):
-        engine.privacy.purposes.add("research")
-        from repro.extensions.privacy import ObjectPolicy
-        engine.privacy.add_policy(ObjectPolicy("repo", "read", "research"))
-        sid = engine.create_session("ana")
-        engine.add_active_role(sid, "Intern")
-        denied = explain_access(engine, sid, "read", "repo")
-        assert not denied.allowed
-        assert "objectPolicy" in denied.first_failure.description
-        allowed = explain_access(engine, sid, "read", "repo",
-                                 purpose="research")
-        assert allowed.allowed
-
-    def test_explanation_matches_engine_decision(self, engine):
-        sid = engine.create_session("wei")
-        engine.add_active_role(sid, "Dev")
-        for operation, obj in (("push", "repo"), ("read", "repo"),
-                               ("fly", "moon")):
-            assert explain_access(engine, sid, operation, obj).allowed \
-                == engine.check_access(sid, operation, obj)
-
-
-class TestExplainActivation:
-    def test_allowed(self, engine):
-        sid = engine.create_session("wei")
-        explanation = explain_activation(engine, sid, "Dev")
-        assert explanation.allowed
-
-    def test_unauthorized_pinpointed(self, engine):
-        sid = engine.create_session("ana")
-        explanation = explain_activation(engine, sid, "Lead")
-        assert not explanation.allowed
-        assert "checkAuthorizationLead" in \
-            explanation.first_failure.description
-
-    def test_dsd_pinpointed(self, engine):
-        engine.assign_user("ana", "Dev")
-        sid = engine.create_session("ana")
-        engine.add_active_role(sid, "Intern")
-        explanation = explain_activation(engine, sid, "Dev")
-        assert "checkDynamicSoDSet" in \
-            explanation.first_failure.description
-
-    def test_disabled_role_pinpointed(self, engine):
-        engine.disable_role("Dev")
-        sid = engine.create_session("wei")
-        explanation = explain_activation(engine, sid, "Dev")
-        assert "roleEnabled" in explanation.first_failure.description
-
-    def test_matches_engine_decision(self, engine):
-        from repro.errors import ReproError
-        sid = engine.create_session("ana")
-        for role in ("Intern", "Lead", "Dev", "Ghost"):
-            predicted = explain_activation(engine, sid, role).allowed
-            try:
-                engine.add_active_role(sid, role)
-                actual = True
-                engine.drop_active_role(sid, role)
-            except ReproError:
-                actual = False
-            assert predicted == actual, role
-
-
 class TestWhoCan:
     def test_hierarchy_included(self, engine):
         pushers = who_can(engine, "push", "repo")
@@ -141,6 +38,23 @@ class TestWhoCan:
 
     def test_unknown_permission_nobody(self, engine):
         assert who_can(engine, "fly", "moon") == {}
+
+    def test_scope_bounded_assignment_is_not_flat_entitlement(self):
+        engine = ActiveRBACEngine.from_policy(parse_policy("""
+        policy bounded {
+          role R; user u;
+          permission read on doc; grant read on doc to R;
+        }"""))
+        engine.add_scope("org")
+        engine.assign_user("u", "R", scope="org")
+        sid = engine.create_session("u")
+        engine.add_active_role(sid, "R")
+        # the live flat check and the explainer both deny ...
+        assert not engine.check_access(sid, "read", "doc")
+        assert not engine.explain(sid, "read", "doc").allowed
+        assert engine.check_access(sid, "read", "doc", scope="org")
+        # ... so the flat entitlement review must not list u
+        assert who_can(engine, "read", "doc") == {}
 
     def test_permission_matrix_effective(self, engine):
         matrix = permission_matrix(engine)

@@ -255,21 +255,41 @@ class TestEngineFastPath:
         assert on == off == [True, False, True]
 
     def test_kernel_path_keeps_side_effect_parity(self, engine):
-        """Audit records, rule counters and decision metrics must be
-        indistinguishable between the compiled and interpreted paths."""
+        """Audit records (kind and detail), flight-recorder decisions,
+        rule counters and the decision slot must be indistinguishable
+        between the compiled and interpreted paths, flat and scoped."""
         def observe(run):
             probe = ActiveRBACEngine(parse_policy(POLICY))
             probe.kernel_enabled = run
+            probe.add_scope("org")
+            probe.grant_permission("Clerk", "read", "ledger", scope="org")
             sid = probe.create_session("bob")
             probe.add_active_role(sid, "Clerk")
-            probe.check_access(sid, "read", "memo")
-            probe.check_access(sid, "write", "ledger")
+            # an outer check in flight: the inner checks must leave
+            # its decision slot alone on both paths
+            probe._decision = "outer"
+            verdicts = [
+                probe.check_access(sid, "read", "memo"),
+                probe.check_access(sid, "write", "ledger"),
+                probe.check_access(sid, "read", "ledger", scope="org"),
+                probe.check_access(sid, "write", "memo", scope="org"),
+            ]
+            assert probe._decision == "outer"
+            path = probe.flight.snapshot()[-1]["path"]
             ca = probe.rules.rules_for_event("checkAccess")[0]
-            audit = [r.kind for r in probe.audit
-                     if r.kind.startswith(("decision.", "rule.else"))]
-            return (ca.fired_count, ca.then_count, ca.else_count, audit)
+            audit = [(r.kind, r.detail) for r in probe.audit]
+            decisions = [
+                {key: value for key, value in record.items()
+                 if key not in ("seq", "clock", "path", "fallback_reason")}
+                for record in probe.flight.snapshot()
+                if record["kind"] == "decision"]
+            return (path, verdicts, ca.fired_count, ca.then_count,
+                    ca.else_count, audit, decisions)
 
-        assert observe(True) == observe(False)
+        kernel, interpreted = observe(True), observe(False)
+        assert (kernel[0], interpreted[0]) == ("kernel", "interpreted")
+        assert kernel[1] == [True, False, True, False]
+        assert kernel[1:] == interpreted[1:]
 
     def test_explicit_deadline_bypasses_kernel(self, engine):
         from repro.clock import Deadline

@@ -94,6 +94,14 @@ class TestModelLeftovers:
             model.create_ssd_set("s", {"A", "B"}, 2)
         # the failed set must not linger
         assert not list(model.sod.ssd_sets())
+        # a role alone authorized for both members, user or not
+        model.deassign_user("u", "B")
+        model.add_role("Both")
+        model.add_inheritance("Both", "A")
+        model.add_inheritance("Both", "B")
+        with pytest.raises(SsdViolationError, match="'Both' alone"):
+            model.create_ssd_set("s", {"A", "B"}, 2)
+        assert not list(model.sod.ssd_sets())
 
 
 class TestEngineDirectSurfaces:

@@ -160,6 +160,13 @@ class TestInheritanceAdministration:
             model.add_inheritance("Super", "PC")
         # and the failed edge must have been rolled back
         assert not model.hierarchy.is_senior("Super", "PC")
+        # a role alone authorized for both members is refused even
+        # with no user holding it (the validator's per-role rule)
+        model.add_role("Lone")
+        model.add_inheritance("Lone", "PC")
+        with pytest.raises(SsdViolationError):
+            model.add_inheritance("Lone", "AC")
+        assert not model.hierarchy.is_senior("Lone", "AC")
 
 
 class TestSessions:
