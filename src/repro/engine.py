@@ -613,9 +613,13 @@ class ActiveRBACEngine(EnforcementHelpers):
     def require_access(self, session_id: str, operation: str, obj: str,
                        purpose: str | None = None,
                        deadline: Deadline | None = None,
-                       scope: str | None = None) -> None:
+                       scope: str | None = None, *,
+                       kernel: PolicyKernel | None = None) -> str:
         """Raise :class:`~repro.errors.OperationDenied` unless some
-        active role of the session may perform the operation.
+        active role of the session may perform the operation; return
+        the serving path that granted (``"kernel"`` or
+        ``"interpreted"``).  A denial names its path in the raised
+        error's ``path``.
 
         ``scope`` is the C of the normalized S-A-O-C tuple: the check
         runs *at* that node of the scope tree, served by flat grants or
@@ -624,21 +628,25 @@ class ActiveRBACEngine(EnforcementHelpers):
         byte-compatible with the pre-scope API.  Unknown scopes deny —
         fail closed — on both serving paths.
 
-        The compiled decision plane answers first when it can: a fresh
-        :class:`~repro.kernel.PolicyKernel` resolves the static
-        majority of checks from interned bitsets, falling back to the
-        full interpreted OWTE pipeline for anything the compiler
-        classified dynamic (context-gated roles, privacy-regulated
-        objects, deadlines, diagnostics).  Either path produces the
-        same answers, audit records, and counters.
+        The compiled decision plane answers first unless
+        :meth:`_kernel_bypass` names a reason not to: ``kernel`` is the
+        published reference a caller already holds (a shard's RCU
+        read; never recompiled here), otherwise the engine's own
+        kernel, recompiled if stale.  Anything the kernel classifies
+        dynamic (context-gated roles, privacy-regulated objects, ...)
+        falls back to the full interpreted OWTE pipeline.  Either path
+        produces the same answers, audit records, and counters.
 
         ``deadline`` (or the engine-wide ``check_deadline`` budget)
-        bounds the whole check: the rule manager probes it before each
-        firing, and it is probed once more after dispatch — a check
-        that stalled past its budget is denied
-        (:class:`~repro.errors.DeadlineExceeded`) even if a rule
-        granted, so a pathological condition cannot stall the pipeline
-        into an unbounded grant.
+        bounds the check.  A live budget leaves a static check on the
+        kernel — bitset lookups cannot stall.  A budget already
+        exhausted before dispatch is denied
+        (:class:`~repro.errors.DeadlineExceeded`) without dispatching.
+        A check that falls back for any other reason carries its
+        budget into the interpreted pipeline: the rule manager probes
+        it before each firing, and it is probed once more after
+        dispatch, so a pathological condition cannot stall the
+        pipeline into an unbounded grant.
         """
         session = self.model.sessions.get(session_id)
         user = session.user if session is not None else None
@@ -646,38 +654,19 @@ class ActiveRBACEngine(EnforcementHelpers):
             deadline = Deadline(self.clock,
                                 virtual_budget=self.check_deadline)
         obs = self.obs
-        observers = self.rules._observers
-        fallback_reason = None
-        if not self.kernel_enabled:
-            fallback_reason = "disabled"
-        elif (deadline is None
-                # full-fidelity diagnostics (trace spans, time-every-
-                # firing sampling) need the interpreted pipeline
-                and not (obs.enabled and (obs.tracer.enabled
-                                          or obs.timing_interval == 1))
-                # extra firing observers see things the kernel skips
-                and len(observers) == 1
-                and observers[0] == self._record_rule_firing):
-            kernel = self._kernel
-            if kernel is None or not kernel.fresh(self):
+        fallback_reason = self._kernel_bypass(deadline)
+        if fallback_reason is None:
+            if kernel is None:
                 kernel = self.kernel()
             verdict = kernel.evaluate(session_id, operation, obj, scope)
             if verdict >= 0:
                 self._commit_kernel_decision(
                     kernel, verdict == KERNEL_GRANT, session_id,
                     operation, obj, user, scope)
-                return
+                return "kernel"
             fallback_reason = kernel.last_fallback
             if obs.enabled:
                 obs._kernel_fallback._value += 1
-        elif deadline is not None:
-            # pre-consult bypasses, classified for the reason taxonomy
-            fallback_reason = "deadline"
-        elif obs.enabled and (obs.tracer.enabled
-                              or obs.timing_interval == 1):
-            fallback_reason = "diagnostics"
-        else:
-            fallback_reason = "observers"
         if obs.enabled:
             obs.kernel_fallback(fallback_reason)
         previous = self._decision
@@ -745,6 +734,7 @@ class ActiveRBACEngine(EnforcementHelpers):
             self._finish_decision("interpreted", start, session_id, user,
                                   operation, obj, granted, rule, cause,
                                   fallback_reason, purpose, scope)
+        return "interpreted"
 
     # ======================================================================
     # decision plane (PolicyKernel)
@@ -776,6 +766,31 @@ class ActiveRBACEngine(EnforcementHelpers):
         rewire things behind those counters.
         """
         self._kernel = None
+
+    def _kernel_bypass(self, deadline: Deadline | None) -> str | None:
+        """Why this check may not consult the kernel, or None if it may.
+
+        The one gate for every decision — :meth:`require_access` (and
+        so :class:`~repro.serve.shard.Shard`) and :meth:`explain` — so
+        the path a check takes and the path its explanation reports
+        cannot diverge.  Reasons, in taxonomy order: the operator
+        turned the kernel off; the ``deadline`` budget is already
+        exhausted (a live budget never bypasses: bitset lookups cannot
+        stall); full-fidelity diagnostics (trace spans, time-every-
+        firing sampling) are on; extra firing observers would miss
+        what the kernel skips.
+        """
+        if not self.kernel_enabled:
+            return "disabled"
+        if deadline is not None and deadline.exceeded() is not None:
+            return "deadline"
+        obs = self.obs
+        if obs.enabled and (obs.tracer.enabled or obs.timing_interval == 1):
+            return "diagnostics"
+        observers = self.rules._observers
+        if len(observers) != 1 or observers[0] != self._record_rule_firing:
+            return "observers"
+        return None
 
     # ======================================================================
     # decision provenance (explain API + flight recorder)
@@ -922,6 +937,7 @@ class ActiveRBACEngine(EnforcementHelpers):
         except ReproError as error:
             # the rule manager's veto bookkeeping for the skipped firing
             rule, cause = getattr(error, "rule", None), type(error).__name__
+            error.path = "kernel"
             if obs.enabled:
                 child = obs._error_cache.get((ca.name, type(error)))
                 if child is None:

@@ -106,7 +106,11 @@ class AccessDenied(ReproError):
 
     ``rule`` names the OWTE rule whose condition evaluation failed; it is
     empty when the denial came from the direct (baseline) engine.
+    ``path`` names the serving path that decided: a denial raised while
+    committing a kernel verdict is re-tagged ``"kernel"``.
     """
+
+    path = "interpreted"
 
     def __init__(self, message: str, rule: str = "") -> None:
         super().__init__(message)

@@ -36,8 +36,11 @@ of RBAC, specialised to the paper's active-rule engine):
 What stays *dynamic* and forces a fallback to the interpreted OWTE
 pipeline (``KERNEL_FALLBACK``): roles gated by access-scoped context
 constraints, privacy-regulated objects (purpose trees and obligations),
-explicit deadlines, full-fidelity diagnostics (tracing, time-every-
-firing sampling), and any entity or rule state the compile did not see.
+and any entity or rule state the compile did not see.  The engine's one
+gate (``ActiveRBACEngine._kernel_bypass``) also routes around the
+kernel when a deadline budget is already exhausted before dispatch (a
+live budget never does: bitset lookups cannot stall) and for
+full-fidelity diagnostics (tracing, time-every-firing sampling).
 The fallback is the correctness anchor — the differential property test
 (`tests/property/test_prop_kernel_equivalence.py`) pins kernel-first
 answers to the interpreted pipeline's across random policies,

@@ -53,7 +53,8 @@ __all__ = [
 #: Every reason an access check can run interpreted instead of being
 #: answered by the compiled kernel.  Kernel-internal reasons mirror
 #: ``PolicyKernel.fallbacks``; the last four are engine-level bypasses
-#: classified before the kernel is even consulted.
+#: that ``ActiveRBACEngine._kernel_bypass`` classifies before the
+#: kernel is even consulted.
 FALLBACK_REASONS = (
     "context_role",     # a granting role is gated by an access context
     "privacy",          # privacy-regulated object (purpose/obligations)
@@ -62,7 +63,7 @@ FALLBACK_REASONS = (
     "instrumented",     # CA rule clauses rewired (fault injection)
     "coverage",         # compile-time coverage gap (see kernel stats)
     "unknown_entity",   # entity the compile never saw
-    "deadline",         # an explicit deadline bounds this check
+    "deadline",         # budget exhausted before dispatch
     "diagnostics",      # tracing / time-every-firing sampling is on
     "observers",        # extra firing observers need the full pipeline
     "disabled",         # operator turned the kernel off
@@ -382,8 +383,9 @@ def explain_decision(engine: "ActiveRBACEngine", session_id: str,
     Mirrors the CA rule's clause conjunction through the shared
     enforcement predicates, so the verdict matches ``require_access``
     on both the kernel and the interpreted path; the serving path is
-    classified with the same gate ``require_access`` uses, and a
-    kernel probe (tally-free) supplies the fallback reason.
+    classified by the engine's one kernel gate (``_kernel_bypass``,
+    with no budget: a live budget never moves a check off the kernel)
+    and a kernel probe (tally-free) supplies the fallback reason.
 
     With ``scope``, the derivation is scope-aware: each role reports
     whether it holds the permission *at the scope* (and via which
@@ -399,19 +401,10 @@ def explain_decision(engine: "ActiveRBACEngine", session_id: str,
     user = session.user if session is not None else None
 
     # -- which path would serve this request? ------------------------------
-    obs = engine.obs
-    observers = engine.rules._observers
     kernel = engine.kernel()  # pure compile; works with the plane off
     path = "interpreted"
-    fallback_reason: str | None = None
-    if not engine.kernel_enabled:
-        fallback_reason = "disabled"
-    elif obs.enabled and (obs.tracer.enabled or obs.timing_interval == 1):
-        fallback_reason = "diagnostics"
-    elif (len(observers) != 1
-          or observers[0] != engine._record_rule_firing):
-        fallback_reason = "observers"
-    else:
+    fallback_reason = engine._kernel_bypass(None)
+    if fallback_reason is None:
         verdict, reason = kernel.probe(session_id, operation, obj, scope)
         if verdict >= 0:
             path = "kernel"

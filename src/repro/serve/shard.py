@@ -302,69 +302,38 @@ class Shard:
               scope: str | None = None) -> dict[str, Any]:
         """Serve one access check against the published kernel.
 
-        Loads the published reference once, answers static checks from
-        it with full side-effect parity (the CA rule's own commit,
-        through ``engine._commit_kernel_decision``), and delegates anything the kernel classified dynamic —
-        or anything the engine-side parity gates exclude (tracing on,
-        extra observers, a default deadline) — to the engine's
-        interpreted pipeline, which owns the fallback-reason taxonomy.
+        Provisions the caller's session, loads the published reference
+        once and hands both to :meth:`ActiveRBACEngine.require_access
+        <repro.engine.ActiveRBACEngine.require_access>`, whose one
+        gate decides the path — the same path, counters and audit
+        records an in-process check gets.  Readers never compile: a
+        stale engine keeps being answered from the reference loaded
+        here until the control plane publishes.
 
         ``deadline`` is the per-request budget the front-end threads
         down from the ``X-Deadline-Ms`` header / ``--request-timeout-ms``
-        default.  A budget that is still live does *not* evict a static
-        check from the kernel fast path — bitset lookups cannot stall,
-        so the budget only has to bound queueing (probed here and again
-        by the engine before dispatch) and the interpreted pipeline
-        (where it is threaded through to the rule manager's per-firing
-        probes).  An exhausted budget denies fail-closed and the
-        response carries ``timed_out`` so the front-end can separate
-        overload denials from policy denials.
+        default, under the engine's one rule: a live budget keeps a
+        static check on the kernel, a budget exhausted before dispatch
+        denies fail-closed, and the response carries ``timed_out`` so
+        the front-end can separate overload denials from policy
+        denials.
         """
-        engine = self.engine
         sid = self.session_for(user)
         self.checks += 1
         if scope is not None:
             self.scoped_checks += 1
         kernel = self._kernel  # the single atomic reference read
-        obs = engine.obs
-        observers = engine.rules._observers
-        expired = deadline is not None and deadline.exceeded() is not None
-        if (not expired
-                and kernel is not None and engine.kernel_enabled
-                and engine.check_deadline is None
-                and not (obs.enabled and (obs.tracer.enabled
-                                          or obs.timing_interval == 1))
-                and len(observers) == 1
-                and observers[0] == engine._record_rule_firing):
-            verdict = kernel.evaluate(sid, operation, obj, scope)
-            if verdict >= 0:
-                allowed = verdict == KERNEL_GRANT
-                try:
-                    engine._commit_kernel_decision(
-                        kernel, allowed, sid, operation, obj, user,
-                        scope)
-                except OperationDenied:
-                    pass
-                return {"allowed": allowed, "path": "kernel",
-                        "shard": self.name, "session": sid,
-                        "epoch": kernel.epoch}
-        # dynamic feature, parity gate, exhausted budget, or no
-        # kernel: the engine's own pipeline decides (and counts the
-        # fallback reason, deadline audit and denial exactly once)
-        timed_out = False
-        try:
-            engine.require_access(sid, operation, obj, purpose,
-                                  deadline=deadline, scope=scope)
-            allowed = True
-        except DeadlineExceeded:
-            allowed = False
-            timed_out = True
-        except (OperationDenied, RuleExecutionError):
-            allowed = False
-        result = {"allowed": allowed, "path": "interpreted",
+        result = {"allowed": False, "path": None,
                   "shard": self.name, "session": sid, "epoch": self.epoch}
-        if timed_out:
-            result["timed_out"] = True
+        try:
+            result["path"] = self.engine.require_access(
+                sid, operation, obj, purpose, deadline=deadline,
+                scope=scope, kernel=kernel)
+            result["allowed"] = True
+        except DeadlineExceeded as denial:
+            result.update(path=denial.path, timed_out=True)
+        except (OperationDenied, RuleExecutionError) as denial:
+            result["path"] = denial.path
         return result
 
     def _after_check(self) -> None:

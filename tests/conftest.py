@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import ActiveRBACEngine, DirectRBACEngine, parse_policy
 from repro.policy.spec import PolicySpec
+
+# Every property failure prints a ``@reproduce_failure`` blob, so a red
+# CI run can be replayed locally; all other settings keep their defaults.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 #: Enterprise XYZ from paper §5 / Figure 1: two departments, five roles,
 #: static SoD between purchase clerk and approval clerk, inherited

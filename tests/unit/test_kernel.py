@@ -291,16 +291,18 @@ class TestEngineFastPath:
         assert kernel[1] == [True, False, True, False]
         assert kernel[1:] == interpreted[1:]
 
-    def test_explicit_deadline_bypasses_kernel(self, engine):
+    def test_live_deadline_keeps_kernel_path(self, engine):
         from repro.clock import Deadline
         engine.kernel()  # compile
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Clerk")
         before = engine.obs.kernel_decisions.labels("grant").value
-        assert engine.check_access(
+        fallbacks = engine.obs.kernel_decisions.labels("fallback").value
+        assert engine.require_access(
             sid, "read", "memo",
-            deadline=Deadline(engine.clock, virtual_budget=10.0))
-        assert engine.obs.kernel_decisions.labels("grant").value == before
+            deadline=Deadline(engine.clock, virtual_budget=10.0)) == "kernel"
+        assert engine.obs.kernel_decisions.labels("grant").value == before + 1
+        assert engine.obs.kernel_decisions.labels("fallback").value == fallbacks
 
     def test_stats_and_health_surface(self, engine):
         stats = engine.stats()

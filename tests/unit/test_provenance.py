@@ -255,8 +255,16 @@ class TestFallbackReasons:
 
     def test_deadline_bypass_counted(self, engine, alice):
         from repro.clock import Deadline
-        engine.check_access(alice, "write", "budget",
-                            deadline=Deadline(wall_budget=10.0))
+        # a live budget keeps the check on the kernel: nothing counted
+        assert engine.check_access(alice, "write", "budget",
+                                   deadline=Deadline(wall_budget=10.0))
+        assert self._reasons(engine) == {}
+        # an exhausted one is denied before dispatch, counted once
+        wall = [0.0]
+        spent = Deadline(wall_budget=1.0, wall=lambda: wall[0])
+        wall[0] = 2.0
+        assert not engine.check_access(alice, "write", "budget",
+                                       deadline=spent)
         assert self._reasons(engine) == {"deadline": 1}
 
     def test_kernel_internal_reason_surfaces(self, engine, alice):
@@ -331,6 +339,17 @@ class TestExplain:
         assert explanation.allowed
         assert explanation.path == "interpreted"
         assert explanation.fallback_reason == "disabled"
+
+    def test_explain_path_matches_live_check_under_check_deadline(self):
+        engine = ActiveRBACEngine(parse_policy(POLICY), check_deadline=5.0)
+        sid = engine.create_session("alice")
+        engine.add_active_role(sid, "PM")
+        explanation = engine.explain(sid, "write", "budget")
+        assert engine.check_access(sid, "write", "budget")
+        [live] = [r for r in engine.flight.snapshot()
+                  if r["kind"] == "decision"]
+        assert (explanation.path, explanation.fallback_reason) \
+            == (live["path"], live["fallback_reason"])
 
     def test_quarantined_rule_fails_closed(self, engine, alice):
         engine.rules.quarantine("CA.checkAccess", reason="unit-test")

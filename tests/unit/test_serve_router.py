@@ -107,6 +107,7 @@ class TestCheck:
     def test_denied_check_reports_not_allowed(self, router):
         result = router.check("bob@alpha", "edit", "doc")
         assert result["allowed"] is False
+        assert result["path"] == "kernel"
 
     def test_tracing_falls_back_to_interpreted(self, router):
         shard = router.shard("alpha")
@@ -169,6 +170,53 @@ class TestDeadline:
         assert result["allowed"] is False
         assert result["timed_out"] is True
         assert result["path"] == "interpreted"
+
+
+    @pytest.mark.parametrize("spent", [False, True],
+                             ids=["live", "exhausted"])
+    def test_in_process_and_routed_checks_agree(self, router, spent):
+        """One deadline rule: the same static check takes the same path,
+        counts the same fallbacks and writes the same deadline audits
+        whether it runs in-process or through the router."""
+        from repro.clock import Deadline
+
+        def budget():
+            wall = [100.0]
+            deadline = Deadline(wall_budget=0.5, wall=lambda: wall[0])
+            if spent:
+                wall[0] += 1.0  # budget spent while queued
+            return deadline
+
+        def tallies(engine):
+            return ({labels["reason"]: child.value for labels, child
+                     in engine.obs.kernel_fallbacks.series()},
+                    engine.obs.kernel_decisions.labels("fallback").value,
+                    len(engine.audit.by_kind("deadline.exceeded")))
+
+        def delta(before, after):
+            reasons = {reason: count - before[0].get(reason, 0)
+                       for reason, count in after[0].items()}
+            return ({r: n for r, n in reasons.items() if n},
+                    after[1] - before[1], after[2] - before[2])
+
+        local = engine_for(ALPHA)
+        sid = local.create_session("ada")
+        local.add_active_role(sid, "Writer")
+        before = tallies(local)
+        allowed = local.check_access(sid, "edit", "doc", deadline=budget())
+        in_process = (allowed, local.flight.snapshot()[-1]["path"],
+                      delta(before, tallies(local)))
+
+        served = router.shard("alpha").engine
+        router.check("ada@alpha", "view", "doc")  # provision the session
+        before = tallies(served)
+        result = router.check("ada@alpha", "edit", "doc",
+                              deadline=budget())
+        routed = (result["allowed"], result["path"],
+                  delta(before, tallies(served)))
+
+        assert routed == in_process
+        assert in_process[1] == ("interpreted" if spent else "kernel")
 
 
 class TestDegradedMode:
