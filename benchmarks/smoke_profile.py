@@ -40,20 +40,12 @@ recorder-free check.  Written to
 ``benchmarks/results/BENCH_provenance.json``; ``--provenance-only``
 runs just this leg (the CI gate).
 
-Measurement methodology (shared machines drift by 2-3x mid-run, so a
-naive all-enabled-then-all-disabled comparison measures the load shift,
-not the instrumentation):
-
-* **short rounds** — each timed round is ~50 checks (~1.5 ms), shorter
-  than a scheduler quantum, so the per-state *minimum* comes from a
-  genuinely unpreempted window;
-* **interleaving** — states alternate every round, so both states
-  sample the same load conditions across the run;
-* **two estimators** — the min-vs-min gap and the median of adjacent
-  per-pair gaps.  Both converge on the true gap; their disagreement is
-  noise, so the smaller one is used (a real regression moves both);
-* **one retry** — a failing verdict is re-measured once with double
-  the rounds before failing the job.
+Measurement methodology: the shared on/off discipline of
+``_harness.py`` — short sub-quantum rounds (~50 checks, ~1.5 ms, so the
+per-state *minimum* comes from an unpreempted window), interleaved
+states, two estimators with the conservative one deciding, and one
+re-measure at double the rounds when a verdict fails.  Every leg
+leaves the engine with its feature switched back on.
 
 Exit status 0 when every comparison is within budget, 1 otherwise.
 Run from the repo root::
@@ -68,14 +60,19 @@ import json
 import os
 import pathlib
 import shutil
-import statistics
 import sys
 import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(__file__))  # for _harness
 
-from _harness import profiled  # noqa: E402
+from _harness import (  # noqa: E402
+    gate,
+    interleave,
+    overhead,
+    profiled,
+    speedup,
+)
 
 from repro import ActiveRBACEngine  # noqa: E402
 from repro.wal import Durability  # noqa: E402
@@ -120,73 +117,14 @@ def set_flight(engine, on: bool) -> None:
     engine.flight.enabled = on
 
 
-def timed_round(engine, sid, operation, obj, set_state, on: bool) -> float:
-    """One short kernel round in the given state, in us/check."""
-    set_state(engine, on)
-    start = time.perf_counter_ns()
-    kernel(engine, sid, operation, obj)
-    return (time.perf_counter_ns() - start) / CHECKS / 1000
-
-
-def measure_overhead(engine, sid, operation, obj, set_state,
-                     rounds: int = ROUNDS) -> tuple[float, float, float]:
-    """Interleaved rounds -> (on_us, off_us, overhead)."""
-    timed_round(engine, sid, operation, obj, set_state, True)  # warm both
-    timed_round(engine, sid, operation, obj, set_state, False)
-    on_times, off_times = [], []
-    for _ in range(rounds):
-        on_times.append(
-            timed_round(engine, sid, operation, obj, set_state, True))
-        off_times.append(
-            timed_round(engine, sid, operation, obj, set_state, False))
-    set_state(engine, True)  # leave the engine in the production state
-    base = min(off_times)
-    gap_minmin = min(on_times) - base
-    gap_paired = statistics.median(
-        on - off for on, off in zip(on_times, off_times))
-    gap = min(gap_minmin, gap_paired)
-    return base + gap, base, gap / base
-
-
-def check_budget(engine, sid, operation, obj, set_state,
-                 label: str, budget: float) -> bool:
-    """Measure one on/off comparison against its budget, retrying once."""
-    for attempt, rounds in enumerate((ROUNDS, ROUNDS * 2)):
-        on_us, off_us, overhead = measure_overhead(
-            engine, sid, operation, obj, set_state, rounds)
-        print(f"B3 checkAccess hot path [{label}]: on {on_us:.2f} "
-              f"us/op, off {off_us:.2f} us/op -> overhead "
-              f"{overhead:+.1%} (budget {budget:.0%})")
-        if overhead <= budget:
-            return True
-        if attempt == 0:
-            print("over budget; re-measuring with more rounds...")
-    return False
-
-
-def measure_kernel_speedup(engine, sid, operation, obj,
-                           rounds: int = ROUNDS
-                           ) -> tuple[float, float, float]:
-    """Interleaved kernel-on/off rounds -> (on_us, off_us, speedup).
-
-    Same two-estimator discipline as :func:`measure_overhead`, but the
-    verdict is a *speedup* (off/on), so the conservative pick is the
-    smaller estimate.
-    """
-    timed_round(engine, sid, operation, obj, set_kernel, True)  # warm
-    timed_round(engine, sid, operation, obj, set_kernel, False)
-    on_times, off_times = [], []
-    for _ in range(rounds):
-        on_times.append(
-            timed_round(engine, sid, operation, obj, set_kernel, True))
-        off_times.append(
-            timed_round(engine, sid, operation, obj, set_kernel, False))
-    set_kernel(engine, True)
-    on_us, off_us = min(on_times), min(off_times)
-    speedup_minmin = off_us / on_us
-    speedup_paired = statistics.median(
-        off / on for on, off in zip(on_times, off_times))
-    return on_us, off_us, min(speedup_minmin, speedup_paired)
+def check_round(engine, sid, operation, obj, set_state):
+    """One short kernel round in a given state, in us/check."""
+    def run(on: bool) -> float:
+        set_state(engine, on)
+        start = time.perf_counter_ns()
+        kernel(engine, sid, operation, obj)
+        return (time.perf_counter_ns() - start) / CHECKS / 1000
+    return run
 
 
 def _spare_grant(engine) -> tuple[str, str, str]:
@@ -201,109 +139,105 @@ def _spare_grant(engine) -> tuple[str, str, str]:
     raise RuntimeError("no spare permission for the mutation round")
 
 
-def timed_mutation_round(engine, sid, operation, obj, grant,
-                         on: bool) -> float:
-    """One policy-mutation round in the given kernel state, in us.
+def mutation_round(engine, sid, operation, obj):
+    """One policy-mutation round in a given kernel state, in us.
 
     grant -> checks -> revoke -> checks: each mutation bumps the policy
     epoch, so with the kernel on the first check after it pays a lazy
     recompile.  The round time therefore bounds compile cost amortized
     over a realistic mutate-then-serve cycle.
     """
-    set_kernel(engine, on)
-    g_role, g_op, g_obj = grant
-    start = time.perf_counter_ns()
-    engine.grant_permission(g_role, g_op, g_obj)
-    kernel(engine, sid, operation, obj, MUTATION_CHECKS)
-    engine.revoke_permission(g_role, g_op, g_obj)
-    kernel(engine, sid, operation, obj, MUTATION_CHECKS)
-    return (time.perf_counter_ns() - start) / 1000
+    g_role, g_op, g_obj = _spare_grant(engine)
+
+    def run(on: bool) -> float:
+        set_kernel(engine, on)
+        start = time.perf_counter_ns()
+        engine.grant_permission(g_role, g_op, g_obj)
+        kernel(engine, sid, operation, obj, MUTATION_CHECKS)
+        engine.revoke_permission(g_role, g_op, g_obj)
+        kernel(engine, sid, operation, obj, MUTATION_CHECKS)
+        return (time.perf_counter_ns() - start) / 1000
+    return run
 
 
-def measure_mutation_overhead(engine, sid, operation, obj,
-                              rounds: int = MUTATION_ROUNDS
-                              ) -> tuple[float, float, float]:
-    """Interleaved mutation rounds -> (on_us, off_us, overhead)."""
-    grant = _spare_grant(engine)
-    timed_mutation_round(engine, sid, operation, obj, grant, True)
-    timed_mutation_round(engine, sid, operation, obj, grant, False)
-    on_times, off_times = [], []
-    for _ in range(rounds):
-        on_times.append(timed_mutation_round(
-            engine, sid, operation, obj, grant, True))
-        off_times.append(timed_mutation_round(
-            engine, sid, operation, obj, grant, False))
-    set_kernel(engine, True)
-    base = min(off_times)
-    gap_minmin = min(on_times) - base
-    gap_paired = statistics.median(
-        on - off for on, off in zip(on_times, off_times))
-    gap = min(gap_minmin, gap_paired)
-    return base + gap, base, gap / base
+def compare(engine, set_state, run_round, estimate=overhead):
+    """``rounds -> (on, off, verdict)`` for :func:`_harness.gate`;
+    each measurement leaves the engine in the production ("on")
+    state."""
+    def measure(rounds: int) -> tuple[float, float, float]:
+        times = interleave(run_round, rounds)
+        set_state(engine, True)
+        return estimate(*times)
+    return measure
+
+
+def check_budget(engine, sid, operation, obj, set_state,
+                 label: str, budget: float) -> tuple[bool, tuple]:
+    """One on/off overhead comparison against its budget:
+    ``(passed, (on_us, off_us, overhead))``."""
+    return gate(
+        compare(engine, set_state,
+                check_round(engine, sid, operation, obj, set_state)),
+        ROUNDS, lambda r: r[2] <= budget,
+        lambda r: f"B3 checkAccess hot path [{label}]: on {r[0]:.2f} "
+                  f"us/op, off {r[1]:.2f} us/op -> overhead "
+                  f"{r[2]:+.1%} (budget {budget:.0%})")
+
+
+def write_result(name: str, result: dict) -> None:
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / name
+    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
 
 
 def check_kernel(engine, sid, operation, obj,
                  speedup_min: float, mutation_budget: float) -> bool:
     """The two decision-plane verdicts + BENCH_kernel.json emission."""
-    ok = True
-    result: dict[str, object] = {
-        "workload": "B3 checkAccess, 100 roles / 100 users, depth 2",
-        "checks_per_round": CHECKS,
-    }
-
-    for attempt, rounds in enumerate((ROUNDS, ROUNDS * 2)):
-        on_us, off_us, speedup = measure_kernel_speedup(
-            engine, sid, operation, obj, rounds)
-        print(f"B3 checkAccess hot path [policy kernel]: compiled "
-              f"{on_us:.2f} us/op, interpreted {off_us:.2f} us/op -> "
-              f"speedup {speedup:.2f}x (minimum {speedup_min:.1f}x)")
-        if speedup >= speedup_min:
-            break
-        if attempt == 0:
-            print("under the floor; re-measuring with more rounds...")
-    else:
+    static_ok, (on_us, off_us, ratio) = gate(
+        compare(engine, set_kernel,
+                check_round(engine, sid, operation, obj, set_kernel),
+                speedup),
+        ROUNDS, lambda r: r[2] >= speedup_min,
+        lambda r: f"B3 checkAccess hot path [policy kernel]: compiled "
+                  f"{r[0]:.2f} us/op, interpreted {r[1]:.2f} us/op -> "
+                  f"speedup {r[2]:.2f}x (minimum {speedup_min:.1f}x)")
+    if not static_ok:
         print("FAIL: kernel speedup under the floor on a static-heavy "
               "workload", file=sys.stderr)
-        ok = False
-    result["static"] = {
-        "kernel_us_per_check": round(on_us, 3),
-        "interpreted_us_per_check": round(off_us, 3),
-        "speedup": round(speedup, 2),
-        "speedup_min": speedup_min,
-        "pass": speedup >= speedup_min,
-    }
-
-    for attempt, rounds in enumerate((MUTATION_ROUNDS,
-                                      MUTATION_ROUNDS * 2)):
-        mut_on, mut_off, overhead = measure_mutation_overhead(
-            engine, sid, operation, obj, rounds)
-        print(f"policy-mutation round [policy kernel]: compiled "
-              f"{mut_on:.0f} us, interpreted {mut_off:.0f} us -> "
-              f"overhead {overhead:+.1%} "
-              f"(budget {mutation_budget:.0%})")
-        if overhead <= mutation_budget:
-            break
-        if attempt == 0:
-            print("over budget; re-measuring with more rounds...")
-    else:
+    mutation_ok, (mut_on, mut_off, mut_overhead) = gate(
+        compare(engine, set_kernel,
+                mutation_round(engine, sid, operation, obj)),
+        MUTATION_ROUNDS, lambda r: r[2] <= mutation_budget,
+        lambda r: f"policy-mutation round [policy kernel]: compiled "
+                  f"{r[0]:.0f} us, interpreted {r[1]:.0f} us -> "
+                  f"overhead {r[2]:+.1%} (budget {mutation_budget:.0%})")
+    if not mutation_ok:
         print("FAIL: kernel recompiles exceed the mutation-round "
               "budget", file=sys.stderr)
-        ok = False
-    result["mutation_round"] = {
-        "checks_per_mutation": MUTATION_CHECKS,
-        "kernel_us_per_round": round(mut_on, 1),
-        "interpreted_us_per_round": round(mut_off, 1),
-        "overhead": round(overhead, 4),
-        "budget": mutation_budget,
-        "pass": overhead <= mutation_budget,
+    ok = static_ok and mutation_ok
+    result = {
+        "workload": "B3 checkAccess, 100 roles / 100 users, depth 2",
+        "checks_per_round": CHECKS,
+        "static": {
+            "kernel_us_per_check": round(on_us, 3),
+            "interpreted_us_per_check": round(off_us, 3),
+            "speedup": round(ratio, 2),
+            "speedup_min": speedup_min,
+            "pass": static_ok,
+        },
+        "mutation_round": {
+            "checks_per_mutation": MUTATION_CHECKS,
+            "kernel_us_per_round": round(mut_on, 1),
+            "interpreted_us_per_round": round(mut_off, 1),
+            "overhead": round(mut_overhead, 4),
+            "budget": mutation_budget,
+            "pass": mutation_ok,
+        },
+        "kernel_build_us": round(engine.kernel().build_ns / 1000, 1),
+        "pass": ok,
     }
-
-    result["kernel_build_us"] = round(engine.kernel().build_ns / 1000, 1)
-    result["pass"] = ok
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_kernel.json"
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    write_result("BENCH_kernel.json", result)
     return ok
 
 
@@ -316,36 +250,23 @@ def check_provenance(engine, sid, operation, obj,
     if it fits the budget on this path it fits everywhere.
     """
     set_kernel(engine, True)
-    ok = True
-    for attempt, rounds in enumerate((ROUNDS, ROUNDS * 2)):
-        on_us, off_us, overhead = measure_overhead(
-            engine, sid, operation, obj, set_flight, rounds)
-        print(f"B3 checkAccess hot path [flight recorder]: on "
-              f"{on_us:.2f} us/op, off {off_us:.2f} us/op -> overhead "
-              f"{overhead:+.1%} (budget {budget:.0%})")
-        if overhead <= budget:
-            break
-        if attempt == 0:
-            print("over budget; re-measuring with more rounds...")
-    else:
+    ok, (on_us, off_us, flight_overhead) = check_budget(
+        engine, sid, operation, obj, set_flight, "flight recorder", budget)
+    if not ok:
         print("FAIL: flight-recorder overhead exceeds the provenance "
               "budget", file=sys.stderr)
-        ok = False
     result = {
         "workload": "B3 checkAccess, 100 roles / 100 users, depth 2, "
                     "kernel path",
         "checks_per_round": CHECKS,
         "flight_on_us_per_check": round(on_us, 3),
         "flight_off_us_per_check": round(off_us, 3),
-        "overhead": round(overhead, 4),
+        "overhead": round(flight_overhead, 4),
         "budget": budget,
         "capacity": engine.flight.capacity,
         "pass": ok,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_provenance.json"
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    write_result("BENCH_provenance.json", result)
     return ok
 
 
@@ -394,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = True
     if not check_budget(engine, sid, operation, obj, set_obs,
-                        "obs hub", obs_budget):
+                        "obs hub", obs_budget)[0]:
         print("FAIL: instrumentation overhead exceeds budget",
               file=sys.stderr)
         ok = False
@@ -403,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     # the comparison isolates the containment wrappers alone
     engine.obs.enabled = True
     if not check_budget(engine, sid, operation, obj, set_containment,
-                        "fault containment", containment_budget):
+                        "fault containment", containment_budget)[0]:
         print("FAIL: containment overhead exceeds budget", file=sys.stderr)
         ok = False
 
@@ -420,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if not check_budget(engine, sid, operation, obj, set_wal,
-                            "write-ahead log", wal_budget):
+                            "write-ahead log", wal_budget)[0]:
             print("FAIL: WAL overhead exceeds budget", file=sys.stderr)
             ok = False
     finally:

@@ -24,9 +24,10 @@ Three verdicts:
   sweep covers all 1308 scopes.
 
 Raw numbers go to ``benchmarks/results/BENCH_scope.json``.  Same
-measurement methodology as ``smoke_profile.py``: short sub-quantum
-rounds, interleaved states, min-vs-min and paired-median estimators
-(smaller wins), one retry with doubled rounds.
+measurement methodology as ``smoke_profile.py``, from ``_harness.py``:
+short sub-quantum rounds, interleaved states, min-vs-min and
+paired-median estimators (smaller wins), one retry with doubled
+rounds.
 
 Exit status 0 when every verdict passes, 1 otherwise.  Run from the
 repo root::
@@ -39,11 +40,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import statistics
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(__file__))  # noqa: the _harness dir
+sys.path.insert(0, os.path.dirname(__file__))  # for _harness
+
+from _harness import gate, interleave, overhead  # noqa: E402
 
 from repro import ActiveRBACEngine  # noqa: E402
 from repro.workloads import (  # noqa: E402
@@ -100,32 +102,15 @@ def build() -> tuple[ActiveRBACEngine, list[str], dict[str, str]]:
     return engine, scopes, probe
 
 
-def timed_round(engine, sid, operation, obj,
-                scope: str | None) -> float:
-    """One short check round against the given scope, in us/check."""
-    start = time.perf_counter_ns()
-    for _ in range(CHECKS):
-        engine.check_access(sid, operation, obj, scope=scope)
-    return (time.perf_counter_ns() - start) / CHECKS / 1000
-
-
-def measure_overhead(engine, sid, operation, obj, scope: str,
-                     rounds: int = ROUNDS) -> tuple[float, float, float]:
-    """Interleaved flat/scoped rounds -> (scoped_us, flat_us, overhead)."""
-    timed_round(engine, sid, operation, obj, scope)   # warm both paths
-    timed_round(engine, sid, operation, obj, None)
-    scoped_times, flat_times = [], []
-    for _ in range(rounds):
-        scoped_times.append(
-            timed_round(engine, sid, operation, obj, scope))
-        flat_times.append(
-            timed_round(engine, sid, operation, obj, None))
-    base = min(flat_times)
-    gap_minmin = min(scoped_times) - base
-    gap_paired = statistics.median(
-        scoped - flat for scoped, flat in zip(scoped_times, flat_times))
-    gap = min(gap_minmin, gap_paired)
-    return base + gap, base, gap / base
+def scope_round(engine, sid, operation, obj, scope: str):
+    """One short check round, scoped ("on") or flat, in us/check."""
+    def run(scoped: bool) -> float:
+        target = scope if scoped else None
+        start = time.perf_counter_ns()
+        for _ in range(CHECKS):
+            engine.check_access(sid, operation, obj, scope=target)
+        return (time.perf_counter_ns() - start) / CHECKS / 1000
+    return run
 
 
 def check_containment(engine, scopes: list[str],
@@ -187,17 +172,14 @@ def main() -> int:
     fallbacks = engine.obs.kernel_decisions.labels("fallback")
     before = fallbacks.value
 
-    for attempt, rounds in enumerate((ROUNDS, ROUNDS * 2)):
-        scoped_us, flat_us, overhead = measure_overhead(
-            engine, sid, operation, obj, deep, rounds)
-        print(f"checkAccess hot path [scoped vs flat]: scoped "
-              f"{scoped_us:.2f} us/op, flat {flat_us:.2f} us/op -> "
-              f"overhead {overhead:+.1%} (budget {budget:.0%})")
-        if overhead <= budget:
-            break
-        if attempt == 0:
-            print("over budget; re-measuring with more rounds...")
-    else:
+    run_round = scope_round(engine, sid, operation, obj, deep)
+    within_budget, (scoped_us, flat_us, scoped_overhead) = gate(
+        lambda rounds: overhead(*interleave(run_round, rounds)),
+        ROUNDS, lambda r: r[2] <= budget,
+        lambda r: f"checkAccess hot path [scoped vs flat]: scoped "
+                  f"{r[0]:.2f} us/op, flat {r[1]:.2f} us/op -> "
+                  f"overhead {r[2]:+.1%} (budget {budget:.0%})")
+    if not within_budget:
         print("FAIL: scoped-check overhead exceeds the budget",
               file=sys.stderr)
         ok = False
@@ -223,7 +205,7 @@ def main() -> int:
         "scope_closure_bits": stats["scope_closure_bits"],
         "scoped_us_per_check": round(scoped_us, 3),
         "flat_us_per_check": round(flat_us, 3),
-        "overhead": round(overhead, 4),
+        "overhead": round(scoped_overhead, 4),
         "budget": budget,
         "kernel_fallbacks": fallback_delta,
         "containment": containment,

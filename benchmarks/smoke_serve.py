@@ -11,10 +11,11 @@ Two modes:
        ephemeral port (``--port-file`` hands the bound port back),
        with a 2-shard / 10k-user synthetic fleet, WAL durability
        attached, and a pinned flight-recorder dump directory;
-    2. **load** — run the ``loadgen`` CLI against it: a mixed
-       check / batch / explain / metrics / health burst with a
-       control-plane grant every 25th op (mid-run epoch swaps), gated
-       on the p99 budget; the report lands in
+    2. **load** — drive it in-process with the closed-loop client
+       from :mod:`repro.testing.load`: a mixed check / batch /
+       explain / metrics / health burst with a control-plane grant
+       every 25th op (mid-run epoch swaps), gated on the p99 budget
+       and on zero request errors; the report lands in
        ``benchmarks/results/BENCH_serve.json``;
     3. **shutdown** — SIGTERM the server and assert the graceful exit
        contract: exit code 0, a ``shutdown:`` summary on stdout with
@@ -81,6 +82,7 @@ ROLES = 50
 SEED = 7
 REQUESTS = int(os.environ.get("SERVE_SMOKE_REQUESTS", "3000"))
 LEVELS = os.environ.get("SERVE_SMOKE_LEVELS", "1,8,32")
+PLAN_SEED = 23
 ADMIN_EVERY = 25
 P99_BUDGET_MS = float(os.environ.get("SERVE_P99_BUDGET_MS", "150"))
 BOOT_TIMEOUT_S = float(os.environ.get("SERVE_BOOT_TIMEOUT_S", "60"))
@@ -161,8 +163,15 @@ def stop(server: subprocess.Popen, port_file: pathlib.Path,
 
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
-    from repro.cli import main as cli_main
+    import asyncio
 
+    from repro.testing.load import run_loadgen, write_bench
+    from repro.workloads import generate_fleet, generate_service_plan
+
+    fleet = generate_fleet(SHARDS, USERS, ROLES, SEED)
+    plan = generate_service_plan(fleet, REQUESTS, seed=PLAN_SEED,
+                                 admin_every=ADMIN_EVERY)
+    levels = tuple(int(level) for level in LEVELS.split(","))
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-serve-smoke-"))
     flight_dir = workdir / "flightrec"
     wal_dir = workdir / "wal"
@@ -176,17 +185,18 @@ def main() -> int:
               f"({SHARDS} shards, {USERS} users)")
 
         bench_path = RESULTS / "BENCH_serve.json"
-        status = cli_main([
-            "loadgen", "--port", str(port),
-            "--shards", str(SHARDS), "--users", str(USERS),
-            "--roles", str(ROLES), "--seed", str(SEED),
-            "--requests", str(REQUESTS), "--levels", LEVELS,
-            "--admin-every", str(ADMIN_EVERY),
-            "--out", str(bench_path),
-            "--p99-budget-ms", str(P99_BUDGET_MS)])
-        if status != 0:
-            fail(f"loadgen gate failed (exit {status})")
-        report = json.loads(bench_path.read_text())
+        load = asyncio.run(run_loadgen(
+            "127.0.0.1", port, plan, levels=levels,
+            users=sum(len(spec.users) for spec in fleet.values()),
+            shards=len(fleet), seed=PLAN_SEED))
+        report = write_bench(load, str(bench_path),
+                             extra={"budget_p99_ms": P99_BUDGET_MS})
+        print(json.dumps(report, indent=2, sort_keys=True))
+        if load.overall_p99_us > P99_BUDGET_MS * 1000:
+            fail(f"p99 {load.overall_p99_us / 1000:.2f} ms over "
+                 f"budget {P99_BUDGET_MS} ms")
+        if report["errors"]:
+            fail(f"{report['errors']} request error(s)")
         if report["admin_swaps"] < REQUESTS // ADMIN_EVERY // 2:
             fail(f"expected mid-run epoch swaps, saw "
                  f"{report['admin_swaps']}")
@@ -232,7 +242,7 @@ def chaos_leg_net_overload() -> dict:
     """Leg A: network-fault replay, then open-loop overload at ~2x."""
     import asyncio
 
-    from repro.serve.loadgen import run_chaos, run_level, run_overload
+    from repro.testing.load import run_chaos, run_level, run_overload
     from repro.testing.faults import NetFaultPlan
     from repro.workloads import generate_fleet, generate_service_plan
 
@@ -327,7 +337,7 @@ def chaos_leg_breaker() -> dict:
     """Leg B: trip a shard breaker, assert degraded mode + recovery."""
     import asyncio
 
-    from repro.serve.loadgen import HttpClient
+    from repro.testing.load import HttpClient
     from repro.workloads import generate_fleet
 
     users = 200
@@ -471,7 +481,7 @@ def chaos_leg_breaker() -> dict:
 
 def chaos_main() -> int:
     sys.path.insert(0, str(REPO / "src"))
-    from repro.serve.loadgen import write_json
+    from repro.testing.load import write_json
 
     leg_a = chaos_leg_net_overload()
     leg_b = chaos_leg_breaker()

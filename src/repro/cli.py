@@ -16,7 +16,6 @@ Usage (also via ``python -m repro``)::
     repro-rbac obs top policy.rbac          # hottest / slowest rules
     repro-rbac serve --shard hq=hq.rbac --shard lab=lab.rbac  # HTTP plane
     repro-rbac serve --synthetic 2 --users 10000    # synthetic fleet
-    repro-rbac loadgen --port-file port.txt --requests 2000  # load harness
     repro-rbac config validate deploy.yaml          # versioned config set
     repro-rbac config diff v1.yaml v2.yaml          # staged change script
     repro-rbac replay state-dir/ --config-version 2 # deterministic replay
@@ -479,7 +478,7 @@ def _fleet_specs(args: argparse.Namespace) -> tuple[dict, dict, dict]:
     """The shard name -> PolicySpec map the service plane boots from:
     explicit ``--shard NAME=FILE`` pairs win; otherwise the
     deterministic synthetic fleet from ``(shards, users, roles, seed)``
-    — the same derivation ``loadgen`` uses, so client and server agree
+    — the same derivation a load client uses, so client and server agree
     on every name with no coordination.  Also returns the shard name ->
     config file path map (empty for synthetic shards): file-backed
     shards keep their path so SIGHUP / the ``reload`` admin op can
@@ -606,106 +605,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for durability in durabilities:
             durability.close()
     return 0
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive a running server with the deterministic service plan and
-    report the saturation curve; exit 1 when the p99 budget is blown
-    or any request errored.  ``--open-loop RPS`` switches to the
-    overload harness (goodput vs. shed rate), ``--chaos SEED`` to the
-    network-fault replay — both emit into ``--out`` when given."""
-    import asyncio
-    import json as _json
-
-    from repro.serve.loadgen import (
-        run_chaos,
-        run_loadgen,
-        run_overload,
-        write_bench,
-        write_json,
-    )
-    from repro.workloads import generate_fleet, generate_service_plan
-
-    port = args.port
-    if args.port_file:
-        try:
-            port = int(Path(args.port_file).read_text().strip())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read port from {args.port_file}: "
-                  f"{exc}", file=sys.stderr)
-            return 2
-    if not port:
-        print("error: need --port or --port-file", file=sys.stderr)
-        return 2
-    fleet = generate_fleet(args.shards, args.users,
-                           args.roles, args.seed)
-    plan = generate_service_plan(fleet, args.requests,
-                                 seed=args.plan_seed,
-                                 admin_every=args.admin_every)
-    if args.open_loop is not None:
-        overload = asyncio.run(run_overload(
-            args.host, port, plan, args.open_loop,
-            client_timeout=args.client_timeout))
-        payload = {"mode": "open_loop", **overload.to_dict()}
-        if args.out:
-            write_json(payload, args.out)
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        if overload.hung:
-            print(f"FAIL: {overload.hung} hung request(s)",
-                  file=sys.stderr)
-            return 1
-        if overload.retry_after_missing:
-            print(f"FAIL: {overload.retry_after_missing} shed 503(s) "
-                  f"without Retry-After", file=sys.stderr)
-            return 1
-        return 0
-    if args.chaos is not None:
-        from repro.testing.faults import NetFaultPlan
-
-        fault_plan = NetFaultPlan(seed=args.chaos)
-        chaos_report = asyncio.run(run_chaos(
-            args.host, port, plan, fault_plan,
-            response_timeout=args.client_timeout))
-        payload = {"mode": "chaos", "seed": args.chaos,
-                   **chaos_report.to_dict()}
-        if args.out:
-            write_json(payload, args.out)
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        if (chaos_report.hung or chaos_report.server_5xx
-                or not chaos_report.alive_after):
-            print(f"FAIL: hung={chaos_report.hung} "
-                  f"server_5xx={chaos_report.server_5xx} "
-                  f"alive_after={chaos_report.alive_after}",
-                  file=sys.stderr)
-            return 1
-        return 0
-    try:
-        levels = tuple(int(level) for level in args.levels.split(","))
-    except ValueError:
-        print(f"error: --levels expects N,N,..., got {args.levels!r}",
-              file=sys.stderr)
-        return 2
-    report = asyncio.run(run_loadgen(
-        args.host, port, plan, levels=levels,
-        users=sum(len(spec.users) for spec in fleet.values()),
-        shards=len(fleet), seed=args.plan_seed))
-    extra = {}
-    if args.p99_budget_ms is not None:
-        extra["budget_p99_ms"] = args.p99_budget_ms
-    payload = (write_bench(report, args.out, extra=extra)
-               if args.out else {**report.to_dict(), **extra})
-    print(_json.dumps(payload, indent=2, sort_keys=True))
-    failed = False
-    if (args.p99_budget_ms is not None
-            and report.overall_p99_us > args.p99_budget_ms * 1000):
-        print(f"FAIL: p99 {report.overall_p99_us / 1000:.2f} ms over "
-              f"budget {args.p99_budget_ms} ms", file=sys.stderr)
-        failed = True
-    errors = sum(level.errors for level in report.levels)
-    if errors:
-        print(f"FAIL: {errors} request error(s)", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
 
 
 def _load_configset(path: str, version: int | None = None):
@@ -1059,61 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "TransientError (trips the breaker "
                             "deterministically; CI chaos harness)")
     serve.set_defaults(fn=cmd_serve)
-
-    loadgen = sub.add_parser(
-        "loadgen", help="closed-loop load harness against a running "
-                        "serve instance; emits BENCH_serve.json and "
-                        "gates on a p99 budget")
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=None)
-    loadgen.add_argument("--port-file", default=None,
-                         help="read the target port from this file")
-    loadgen.add_argument("--shards", type=int, default=2,
-                         help="fleet derivation: must match the "
-                              "server's --synthetic (default: 2)")
-    loadgen.add_argument("--users", type=int, default=10_000,
-                         help="fleet derivation: must match the "
-                              "server's --users (default: 10000)")
-    loadgen.add_argument("--roles", type=int, default=50,
-                         help="fleet derivation: must match the "
-                              "server's --roles (default: 50)")
-    loadgen.add_argument("--seed", type=int, default=7,
-                         help="fleet derivation: must match the "
-                              "server's --seed (default: 7)")
-    loadgen.add_argument("--plan-seed", type=int, default=23,
-                         help="op-mix seed (default: 23)")
-    loadgen.add_argument("--requests", type=int, default=2000,
-                         help="total ops across all levels "
-                              "(default: 2000)")
-    loadgen.add_argument("--levels", default="1,4,16",
-                         help="comma-separated concurrency levels for "
-                              "the saturation sweep (default: 1,4,16)")
-    loadgen.add_argument("--admin-every", type=int, default=0,
-                         help="make every Nth op a control-plane "
-                              "grant (default: 0 = none)")
-    loadgen.add_argument("--out", default=None, metavar="FILE",
-                         help="write the BENCH_serve.json report here")
-    loadgen.add_argument("--p99-budget-ms", type=float, default=None,
-                         help="fail (exit 1) when overall p99 exceeds "
-                              "this many milliseconds")
-    loadgen.add_argument("--open-loop", type=float, default=None,
-                         metavar="RPS",
-                         help="open-loop overload mode: offer the plan "
-                              "at a fixed request rate and report "
-                              "goodput vs. shed rate (fails on hung "
-                              "connections or shed 503s missing "
-                              "Retry-After)")
-    loadgen.add_argument("--chaos", type=int, default=None,
-                         metavar="SEED",
-                         help="network chaos mode: replay the plan "
-                              "through the seeded fault-injecting "
-                              "transport (resets, stalls, truncated "
-                              "bodies, garbage frames)")
-    loadgen.add_argument("--client-timeout", type=float, default=5.0,
-                         help="open-loop/chaos: seconds to wait for a "
-                              "response before counting the "
-                              "connection as hung (default: 5)")
-    loadgen.set_defaults(fn=cmd_loadgen)
 
     config = sub.add_parser(
         "config", help="versioned config-set tooling: validate one "

@@ -3,8 +3,9 @@
 ``repro-rbac serve`` turns the library into a long-running server —
 one :class:`~repro.engine.ActiveRBACEngine` (plus WAL and compiled
 kernel) per tenant shard, routed by home domain, read lock-free via
-RCU-style epoch swaps.  ``repro-rbac loadgen`` is the closed-loop
-client that drives it and emits ``BENCH_serve.json``.
+RCU-style epoch swaps.  The package ships no load generator: the
+benchmark (``perfbench/``) drives served traffic, and the smoke gates
+use the test client in :mod:`repro.testing.load`.
 
 Layout:
 
@@ -16,47 +17,20 @@ Layout:
 * :mod:`repro.serve.http` — :class:`ServeApp`, the zero-dependency
   HTTP/1.1 server with admission control, i/o timeouts, per-request
   deadlines, degraded-mode serving and graceful drain/flush/dump
-  shutdown;
-* :mod:`repro.serve.loadgen` — the keep-alive client (backoff
-  reconnect), closed-loop saturation sweep, open-loop overload
-  harness, chaos replay, and bench emission.
+  shutdown.
 """
 
 from repro.serve.bulkhead import Bulkhead, CircuitBreaker, ShardGuard
 from repro.serve.http import HttpError, ServeApp
-from repro.serve.loadgen import (
-    ChaosHttpClient,
-    ChaosReport,
-    HttpClient,
-    LoadLevel,
-    LoadReport,
-    OverloadReport,
-    run_chaos,
-    run_loadgen,
-    run_overload,
-    write_bench,
-    write_json,
-)
 from repro.serve.shard import ADMIN_OPS, Shard, ShardRouter
 
 __all__ = [
     "ADMIN_OPS",
     "Bulkhead",
-    "ChaosHttpClient",
-    "ChaosReport",
     "CircuitBreaker",
-    "HttpClient",
     "HttpError",
-    "LoadLevel",
-    "LoadReport",
-    "OverloadReport",
     "ServeApp",
     "Shard",
     "ShardGuard",
     "ShardRouter",
-    "run_chaos",
-    "run_loadgen",
-    "run_overload",
-    "write_bench",
-    "write_json",
 ]

@@ -3,7 +3,11 @@
 :mod:`repro.testing.faults` is the deterministic fault-injection
 harness used by the chaos suite and the ``repro-rbac health --chaos``
 demo; it lives in the package (not under ``tests/``) so downstream
-users can chaos-test their own policies.
+users can chaos-test their own policies.  :mod:`repro.testing.load`
+is the HTTP load and chaos client that replays a service plan (and a
+:class:`~repro.testing.faults.NetFaultPlan`) against a running
+``repro-rbac serve``.  Neither is imported here, so loading one does
+not load the other.
 """
 
 from repro.testing.faults import FaultInjector

@@ -28,7 +28,7 @@ each request *index* a :class:`NetFault` (connection reset, stall,
 partial write, garbage frame, or none) drawn from a per-index seeded
 stream, so a chaos schedule replays identically regardless of worker
 count or completion order.  The plan is transport-agnostic — it only
-*decides*; ``repro.serve.loadgen.ChaosHttpClient`` executes the
+*decides*; :class:`repro.testing.load.ChaosHttpClient` executes the
 faults against a live server and the chaos-serve CI job asserts the
 server survives them fail-closed.
 """

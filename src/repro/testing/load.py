@@ -1,8 +1,9 @@
-"""Load and chaos harness for the service plane.
+"""Load and chaos client for the service plane's smoke gates.
 
-``repro-rbac loadgen`` drives a running ``repro-rbac serve`` instance
-with the deterministic service plan from
-:func:`repro.workloads.generate_service_plan`.  Three modes:
+Drives a running ``repro-rbac serve`` instance with the deterministic
+service plan from :func:`repro.workloads.generate_service_plan`.  It
+is test support, not product: ``benchmarks/smoke_serve.py`` and the
+serve integration suites call it in-process.  Three modes:
 
 * **closed loop** (:func:`run_loadgen`) — every worker runs *send one
   request, await the response, record the latency, repeat* over a
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import random
 import time
@@ -428,12 +430,18 @@ class ChaosReport:
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty sample."""
+    """Nearest-rank percentile: the smallest sample with at least a
+    ``q`` share of the sample at or below it; 0.0 for an empty sample.
+
+    The rank is ``ceil(q * n)``; the product is rounded to 9 places
+    first so float error (``0.07 * 100 == 7.000000000000001``) does
+    not push an exact rank up by one.
+    """
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(q * len(ordered)) - 1))
-    return ordered[rank]
+    rank = math.ceil(round(q * len(ordered), 9))
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 def _op_request(op: ServiceOp) -> tuple[str, str, dict[str, Any] | None]:

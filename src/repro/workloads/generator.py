@@ -21,10 +21,10 @@ For the service plane, :func:`generate_fleet` builds a multi-shard
 fleet of synthetic enterprises (one spec per shard, differently
 seeded) and :func:`generate_service_plan` emits the HTTP-level op mix
 (check / batch / explain / metrics / health, plus periodic
-control-plane grants) that ``repro-rbac loadgen`` replays.  Both
-``serve --synthetic`` and ``loadgen`` derive the same fleet from
-``(shards, users, seed)``, so client and server agree on every user,
-role and object name without any out-of-band coordination.
+control-plane grants) that the :mod:`repro.testing.load` client
+replays.  ``serve --synthetic`` and the client derive the same fleet
+from ``(shards, users, seed)``, so client and server agree on every
+user, role and object name without any out-of-band coordination.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def _unused_grants(spec: PolicySpec) -> Iterator[tuple[str, str, str]]:
     """Deterministically enumerate (role, operation, object) triples
     the spec does *not* already grant — the admin-mutation supply.
 
-    Each is a pure addition, so plan replay order (concurrent loadgen
+    Each is a pure addition, so plan replay order (concurrent load
     workers finish out of order) can never double-grant or revoke a
     grant that is not there: every admin op succeeds and bumps the
     policy epoch exactly once.
@@ -394,7 +394,7 @@ def generate_service_plan(
         mix: tuple[float, float, float, float, float]
         = (0.82, 0.08, 0.06, 0.02, 0.02),
         admin_every: int = 0, batch_size: int = 8) -> list[ServiceOp]:
-    """The deterministic HTTP op mix ``repro-rbac loadgen`` replays.
+    """The deterministic HTTP op mix the load client replays.
 
     ``mix`` weights (check, check_batch, explain, metrics, health).
     With more than one shard, users are addressed as ``name@shard`` so

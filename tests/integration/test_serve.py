@@ -23,7 +23,8 @@ import pytest
 from repro import ActiveRBACEngine, parse_policy
 from repro.federation import RoleMapping
 from repro.kernel import KERNEL_DENY, KERNEL_GRANT
-from repro.serve import HttpClient, ServeApp, ShardRouter
+from repro.serve import ServeApp, ShardRouter
+from repro.testing.load import HttpClient
 from repro.wal import Durability
 
 ALPHA = """

@@ -15,9 +15,9 @@ import pytest
 
 from repro import ActiveRBACEngine, parse_policy
 from repro.errors import TransientError
-from repro.serve import HttpClient, ServeApp, ShardRouter
-from repro.serve.loadgen import run_chaos, run_overload
+from repro.serve import ServeApp, ShardRouter
 from repro.testing.faults import NetFaultPlan
+from repro.testing.load import HttpClient, run_chaos, run_overload
 from repro.workloads import ServiceOp
 
 ALPHA = """

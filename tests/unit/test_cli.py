@@ -319,25 +319,9 @@ class TestHygiene:
                      "--who-can", "nodcolon"]) == 2
 
 
-class TestServeLoadgenArgs:
-    """Argument validation for the service-plane commands (no server
-    is booted: every case exits before binding or connecting)."""
-
-    def test_loadgen_needs_a_port(self, capsys):
-        assert main(["loadgen"]) == 2
-        assert "need --port or --port-file" in capsys.readouterr().err
-
-    def test_loadgen_unreadable_port_file(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.txt")
-        assert main(["loadgen", "--port-file", missing]) == 2
-        assert "cannot read port" in capsys.readouterr().err
-
-    def test_loadgen_bad_levels(self, tmp_path, capsys):
-        port_file = tmp_path / "port.txt"
-        port_file.write_text("1\n")
-        assert main(["loadgen", "--port-file", str(port_file),
-                     "--levels", "1,banana"]) == 2
-        assert "--levels" in capsys.readouterr().err
+class TestServeArgs:
+    """Argument validation for ``serve`` (no server is booted: every
+    case exits before binding)."""
 
     def test_serve_bad_mapping(self, capsys):
         assert main(["serve", "--synthetic", "1", "--users", "5",

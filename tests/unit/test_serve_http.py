@@ -15,7 +15,7 @@ from repro.serve.http import (
     parse_request_head,
     response_bytes,
 )
-from repro.serve.loadgen import (
+from repro.testing.load import (
     LoadLevel,
     LoadReport,
     _op_request,
@@ -101,6 +101,11 @@ class TestPercentile:
         assert percentile(values, 0.50) == 50
         assert percentile(values, 0.99) == 99
         assert percentile(values, 1.0) == 100
+        assert percentile(values, 0.07) == 7  # 0.07 * 100 is 7.000...1
+        assert percentile([1, 2, 3, 4, 5], 0.50) == 3
+        # p99 of 51..99 samples is the largest, not the second-largest
+        for n in (51, 75, 99):
+            assert percentile(list(range(1, n + 1)), 0.99) == n
 
     def test_single_sample(self):
         assert percentile([42.0], 0.99) == 42.0

@@ -22,7 +22,7 @@ from repro.serve.bulkhead import (
     STATE_OPEN,
 )
 from repro.serve.http import HttpError, ServeApp, response_bytes
-from repro.serve.loadgen import HttpClient
+from repro.testing.load import HttpClient
 from repro.serve.shard import ShardRouter
 from repro.testing.faults import NET_FAULT_KINDS, NetFaultPlan
 
