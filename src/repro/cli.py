@@ -452,26 +452,34 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_shard_file(path: str):
+def _load_shard_file(name: str, path: str):
     """One shard boot file: raw DSL (the historical form) or a
     versioned config-set document (YAML subset / JSON) — the same
-    formats the ``reload`` lifecycle op stages later.  Returns
-    ``(spec, version)``; version is ``None`` for raw DSL, which only
-    gets a config version once a rollout stages one."""
-    from repro.config.loader import ConfigError, load_config
+    formats the ``reload`` lifecycle op stages later, loaded under the
+    same shard-name override.  Returns ``(spec, config)``: ``config``
+    is the loaded :class:`~repro.config.configset.ConfigSet`, or
+    ``None`` for raw DSL, which only gets a config version once a
+    rollout stages one."""
+    from repro.config.loader import (
+        ConfigError,
+        MissingConfigVersion,
+        load_config,
+    )
 
     if not Path(path).exists():
         print(f"error: cannot read {path}: no such file",
               file=sys.stderr)
         raise SystemExit(2)
     try:
-        config = load_config(path)
-        return config.spec, config.version
+        config = load_config(path, name=name)
+    except MissingConfigVersion:  # valid policy, no version id
+        spec = _load(path)
+        spec.name = name
+        return spec, None
     except ConfigError as exc:
-        if "version" in str(exc):  # valid policy, no version id
-            return _load(path), None
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
+    return config.spec, config
 
 
 def _fleet_specs(args: argparse.Namespace) -> tuple[dict, dict, dict]:
@@ -483,49 +491,41 @@ def _fleet_specs(args: argparse.Namespace) -> tuple[dict, dict, dict]:
     config file path map (empty for synthetic shards): file-backed
     shards keep their path so SIGHUP / the ``reload`` admin op can
     re-read and *stage* the file through the rollout lifecycle — and
-    the shard name -> declared config version map, so the booted
-    version is adopted and an unchanged re-read is a no-op."""
+    the shard name -> loaded config set map for files that declare a
+    version, so the booted version is adopted and an unchanged re-read
+    is a no-op."""
     specs: dict = {}
     paths: dict = {}
-    versions: dict = {}
+    configs: dict = {}
     for item in getattr(args, "shard", None) or []:
         name, sep, path = item.partition("=")
         if not sep or not name:
             print(f"error: --shard expects NAME=FILE, got {item!r}",
                   file=sys.stderr)
             raise SystemExit(2)
-        spec, version = _load_shard_file(path)
-        spec.name = name
-        specs[name] = spec
+        specs[name], config = _load_shard_file(name, path)
         paths[name] = path
-        if version is not None:
-            versions[name] = version
+        if config is not None:
+            configs[name] = config
     if not specs:
         from repro.workloads import generate_fleet
 
         specs = generate_fleet(args.synthetic, args.users,
                                args.roles, args.seed)
-    return specs, paths, versions
+    return specs, paths, configs
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Boot the service plane: one engine (+ optional WAL) per shard
-    behind the asyncio HTTP front-end; serves until SIGTERM/SIGINT,
-    then drains, flushes every WAL, and dumps every flight recorder.
-    """
-    import asyncio
+def _boot_router(args: argparse.Namespace):
+    """Build every shard ``serve`` boots: engine, optional WAL, and
+    the adopted config version of a versioned boot file.  Returns
+    ``(router, durabilities)``."""
     import os
 
-    from repro.federation import RoleMapping
-    from repro.serve import ServeApp, ShardRouter
+    from repro.serve import ShardRouter
 
-    specs, config_paths, config_versions = _fleet_specs(args)
+    specs, config_paths, configs = _fleet_specs(args)
     router = ShardRouter()
     durabilities = []
-    if getattr(args, "decision_journal", False) and not args.wal:
-        print("error: --decision-journal requires --wal",
-              file=sys.stderr)
-        return 2
     for name in sorted(specs):
         engine = ActiveRBACEngine(specs[name])
         durability = None
@@ -539,11 +539,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 engine.decision_journal = True
         shard = router.add_shard(name, engine, durability,
                                  config_path=config_paths.get(name))
-        if name in config_versions:
-            # the booted file declared a version: adopt it, so a
-            # SIGHUP re-read of the unchanged file is a no-op and the
-            # first real push must advance the version
-            shard.ensure_lifecycle().adopt(config_versions[name])
+        if name in configs:
+            # the booted file declared a version: adopt the set it was
+            # loaded as, so a SIGHUP re-read of the unchanged file is a
+            # no-op and the first real push must advance the version
+            shard.ensure_lifecycle().adopt(config=configs[name])
+    return router, durabilities
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Boot the service plane: one engine (+ optional WAL) per shard
+    behind the asyncio HTTP front-end; serves until SIGTERM/SIGINT,
+    then drains, flushes every WAL, and dumps every flight recorder.
+    """
+    import asyncio
+    import os
+
+    from repro.federation import RoleMapping
+    from repro.serve import ServeApp
+
+    if getattr(args, "decision_journal", False) and not args.wal:
+        print("error: --decision-journal requires --wal",
+              file=sys.stderr)
+        return 2
+    router, durabilities = _boot_router(args)
     for item in args.map or []:
         try:
             home, host = item.split("=", 1)

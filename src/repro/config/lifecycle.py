@@ -305,19 +305,27 @@ class PolicyLifecycle:
     # control plane: transitions
     # ------------------------------------------------------------------
 
-    def adopt(self, version: int = 1, origin: str = "adopted") -> ConfigSet:
+    def adopt(self, version: int = 1, origin: str = "adopted",
+              config: ConfigSet | None = None) -> ConfigSet:
         """Bless the engine's current policy as the active config.
 
         The baseline every later stage/promote/rollback is versioned
         against; WAL-logged as a ``config.promote`` so recovery knows
-        which version was live.
+        which version was live.  ``config``, when given, must be the
+        canonical form of that policy (the set the engine was just
+        built from, as at boot); it is adopted as is, with its own
+        version and origin, instead of canonicalising the policy again.
         """
         engine = self.engine
+        if config is not None:
+            version = config.version
         floor = engine.config_version or 0
         if version <= floor:
             raise ConfigError(
                 f"config version must advance: {version} <= live {floor}")
-        config = ConfigSet.from_spec(engine.policy, version, origin=origin)
+        if config is None:
+            config = ConfigSet.from_spec(engine.policy, version,
+                                         origin=origin)
         self.active = config
         engine.config_version = config.version
         self._persist(config, "active")

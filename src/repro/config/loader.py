@@ -50,12 +50,17 @@ from repro.config.configset import ConfigSet
 from repro.errors import ReproError
 from repro.policy.spec import PolicySpec
 
-__all__ = ["ConfigError", "load_config", "parse_config",
-           "spec_from_document"]
+__all__ = ["ConfigError", "MissingConfigVersion", "load_config",
+           "parse_config", "spec_from_document"]
 
 
 class ConfigError(ReproError):
     """A config document that cannot be parsed or validated."""
+
+
+class MissingConfigVersion(ConfigError):
+    """A config document with no ``version`` key and no explicit
+    version: raw DSL, which only gets a version when one is assigned."""
 
 
 # ==========================================================================
@@ -350,12 +355,17 @@ def spec_from_document(doc: dict[str, Any]) -> PolicySpec:
 
 def parse_config(text: str, fmt: str = "yaml",
                  version: int | None = None,
-                 origin: str = "inline") -> ConfigSet:
+                 origin: str = "inline",
+                 name: str | None = None) -> ConfigSet:
     """Parse one config document into a validated ConfigSet.
 
     ``fmt`` is ``yaml``, ``json`` or ``rbac`` (raw DSL).  The version
     comes from the document's ``version`` key, overridable (and for
-    raw DSL, suppliable) via the ``version`` argument.
+    raw DSL, suppliable) via the ``version`` argument.  ``name``, when
+    given, replaces the policy name before canonicalisation: a served
+    shard boots its policy under the shard name and stages every
+    reload under the live policy's name, so an unchanged file keeps
+    its checksum.
     """
     if fmt == "json":
         try:
@@ -373,13 +383,16 @@ def parse_config(text: str, fmt: str = "yaml",
     if version is None:
         version = doc.get("version")
     if version is None:
-        raise ConfigError("config document has no 'version' (and no "
-                          "explicit version was supplied)")
+        raise MissingConfigVersion(
+            "config document has no 'version' (and no explicit version "
+            "was supplied)")
     try:
         version = int(version)
     except (TypeError, ValueError):
         raise ConfigError(f"bad config version {version!r}") from None
     spec = spec_from_document(doc)
+    if name is not None:
+        spec.name = name
     from repro.policy.validator import validate_policy
     issues = validate_policy(spec)
     if issues:
@@ -393,7 +406,8 @@ _FORMATS = {".json": "json", ".yaml": "yaml", ".yml": "yaml",
              ".rbac": "rbac"}
 
 
-def load_config(path: str, version: int | None = None) -> ConfigSet:
+def load_config(path: str, version: int | None = None,
+                name: str | None = None) -> ConfigSet:
     """Load a config file, format-dispatched on extension (unknown
     extensions sniff: ``{`` means JSON, a ``version:``/``policy:`` key
     means YAML, anything else is DSL)."""
@@ -413,4 +427,5 @@ def load_config(path: str, version: int | None = None) -> ConfigSet:
             fmt = "yaml"
         else:
             fmt = "rbac"
-    return parse_config(text, fmt, version=version, origin=str(path))
+    return parse_config(text, fmt, version=version, origin=str(path),
+                        name=name)

@@ -51,7 +51,7 @@ from repro.extensions.privacy import PrivacyRegistry
 from repro.kernel import KERNEL_GRANT, PolicyKernel
 from repro.obs import FlightRecorder, ObsHub
 from repro.policy.spec import PolicySpec, build_model
-from repro.rbac.scopes import SCOPE_ROOT
+from repro.rbac.scopes import SCOPE_ROOT, UnknownScopeError
 from repro.rules.manager import RuleManager
 from repro.rules.rule import RuleOutcome
 from repro.security.audit import AuditLog
@@ -493,13 +493,17 @@ class ActiveRBACEngine(EnforcementHelpers):
         serves checks inside the scope's subtree (repeat with another
         scope to widen the bound).  Narrowing a pre-existing unbounded
         assignment is refused — revoke-and-reassign makes the intent
-        explicit in the audit trail.
+        explicit in the audit trail.  Every guard of the scoped form
+        is checked before the first write, so a refused assignment
+        leaves no flat grant behind.
         """
         if scope is None or scope == SCOPE_ROOT:
             self.detector.raise_event("assignUser", user=user, role=role)
             self.policy.add_assignment(user, role)
             self._note_policy_change()
             return
+        if scope not in self.model.scopes:
+            raise UnknownScopeError(scope)
         already = self.model.is_assigned(user, role)
         if already and not self.model.assignment_scopes(user, role):
             raise AdministrationError(

@@ -129,11 +129,13 @@ class PolicyKernel:
         # reflexive-transitive closure in both directions; one Python
         # int per role replaces a BFS walk per authorization question
         rid = self.role_ids
+        # each role's closure is looked up once for the whole build
+        closure = {role: hierarchy.juniors_inclusive(role) for role in rid}
         self.juniors_mask = [0] * len(rid)
         self.seniors_mask = [0] * len(rid)
         for role, i in rid.items():
             mask = 0
-            for junior in hierarchy.juniors_inclusive(role):
+            for junior in closure[role]:
                 mask |= 1 << rid[junior]
             self.juniors_mask[i] = mask
         for role, i in rid.items():
@@ -179,7 +181,7 @@ class PolicyKernel:
         for role in model.roles:
             per_scope: dict[int, int] = {}
             cover = 0
-            for member in hierarchy.juniors_inclusive(role):
+            for member in closure[role]:
                 scoped = model._pa_scoped.get(member)
                 if not scoped:
                     continue
@@ -218,7 +220,7 @@ class PolicyKernel:
                             sid = self.scope_ids.get(bound)
                             if sid is not None:
                                 lim |= 1 << sid
-                    for member in hierarchy.juniors_inclusive(holder):
+                    for member in closure[holder]:
                         key = (user, member)
                         if bounds is None:
                             unbounded.add(key)

@@ -140,12 +140,20 @@ def validate_policy(spec: PolicySpec,
                 f"outside [2, {len(sod.roles)}]"
             )
 
+    # one junior closure per role for the whole pass
+    closures: dict[str, set[str]] = {}
+
+    def juniors_inclusive(role: str) -> set[str]:
+        closure = closures.get(role)
+        if closure is None:
+            closure = closures[role] = _juniors_inclusive(role, down)
+        return closure
+
     # SSD vs hierarchy: any single role authorized for >= n set members
     # makes the constraint unsatisfiable for every user of that role.
     if not cycle:
         issues.extend(hierarchy_conflicts(
-            spec.ssd.values(), roles,
-            lambda role: _juniors_inclusive(role, down)))
+            spec.ssd.values(), roles, juniors_inclusive))
 
     # -- assignments vs SSD ----------------------------------------------------------
     assigned: dict[str, set[str]] = defaultdict(set)
@@ -158,11 +166,11 @@ def validate_policy(spec: PolicySpec,
     for user, role, _scope in spec.scoped_assignments:
         if user in users and role in roles:
             assigned[user].add(role)
-    if not cycle:
+    if spec.ssd and not cycle:
         for user, direct in assigned.items():
             authorized: set[str] = set()
             for role in direct:
-                authorized |= _juniors_inclusive(role, down)
+                authorized |= juniors_inclusive(role)
             for sod in spec.ssd.values():
                 overlap = authorized & sod.roles
                 if len(overlap) >= sod.cardinality:

@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.rbac.hierarchy import RoleHierarchy
 from repro.rbac.scopes import SCOPE_ROOT, ScopeTree, UnknownScopeError
-from repro.rbac.sod import SodRegistry, hierarchy_conflicts
+from repro.rbac.sod import SodRegistry, SsdConstraint, hierarchy_conflicts
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,7 @@ class RBACModel:
             raise AdministrationError(
                 f"user {user!r} is already assigned to role {role!r}"
             )
-        authorized = self.authorized_roles(user)
-        gained = self.hierarchy.juniors_inclusive(role) - authorized
-        candidate = authorized | gained
-        violations = self.sod.ssd_violations(candidate)
+        violations = self._assignment_ssd_violations(user, role)
         if violations:
             names = ", ".join(v.name for v in violations)
             raise SsdViolationError(
@@ -295,9 +292,13 @@ class RBACModel:
         violating combination (:func:`~repro.rbac.sod.hierarchy_conflicts`,
         the validator's rule), users or not.  Only the senior side
         acquires the junior's closure, so both checks scan the seniors
-        and their authorized users, not the whole population.
+        and their authorized users, not the whole population — and only
+        when some SSD set names a role of that closure: otherwise no
+        constraint can newly fire (:meth:`SodRegistry.ssd_mentions`).
         """
         self.hierarchy.add_inheritance(senior, junior)
+        if not self.sod.ssd_mentions(self.hierarchy.juniors_inclusive(junior)):
+            return
         problems = hierarchy_conflicts(
             self.sod.ssd_sets(), self.hierarchy.seniors_inclusive(senior),
             self.hierarchy.juniors_inclusive)
@@ -434,14 +435,20 @@ class RBACModel:
                        cardinality: int) -> None:
         """CreateSsdSet: the new constraint must hold for current state,
         for every user and for every single role of the hierarchy
-        (:func:`~repro.rbac.sod.hierarchy_conflicts`)."""
+        (:func:`~repro.rbac.sod.hierarchy_conflicts`).  Only a user
+        assigned to a senior of one of its roles can violate it, so
+        only those users' authorized roles are computed."""
         roles = list(roles)
         for role in roles:
             self._require_role(role)
         constraint = self.sod.create_ssd(name, roles, cardinality)
+        holders: set[str] = set()
+        for role in constraint.roles:
+            holders |= self.hierarchy.seniors_inclusive(role)
         problems = [
-            user for user in self.users
-            if constraint.violated_by(self.authorized_roles(user))
+            user for user, assigned in self._ua.items()
+            if not assigned.isdisjoint(holders)
+            and constraint.violated_by(self.authorized_roles(user))
         ]
         conflicts = hierarchy_conflicts([constraint], self.roles,
                                         self.hierarchy.juniors_inclusive)
@@ -524,9 +531,21 @@ class RBACModel:
         """Predicate form of the AssignUser SSD check (rule W clause)."""
         if user not in self.users or role not in self.roles:
             return False
-        authorized = self.authorized_roles(user)
-        candidate = authorized | self.hierarchy.juniors_inclusive(role)
-        return not self.sod.ssd_violations(candidate)
+        return not self._assignment_ssd_violations(user, role)
+
+    def _assignment_ssd_violations(self, user: str,
+                                   role: str) -> list[SsdConstraint]:
+        """The SSD constraints UA(user, role) would leave violated.
+
+        The user gains ``role``'s junior closure.  Every administrative
+        command keeps the model SSD-consistent, so a constraint naming
+        none of the gained roles cannot newly fire: with no such
+        constraint the user's authorized roles are never computed.
+        """
+        gained = self.hierarchy.juniors_inclusive(role)
+        if not self.sod.ssd_mentions(gained):
+            return []
+        return self.sod.ssd_violations(self.authorized_roles(user) | gained)
 
     # ======================================================================
     # review functions

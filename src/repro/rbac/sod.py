@@ -209,6 +209,17 @@ class SodRegistry:
 
     # -- checks ----------------------------------------------------------------------
 
+    def ssd_mentions(self, roles: Iterable[str]) -> bool:
+        """Does any SSD constraint name one of ``roles``?
+
+        In a consistent state, an edit that only adds ``roles`` to
+        some authorized-role sets can newly violate a constraint only
+        when this is true; the model's SSD-preserving commands skip
+        their scans otherwise.
+        """
+        by_role = self._ssd_by_role
+        return any(by_role.get(role) for role in roles)
+
     def ssd_ok(self, authorized_roles: set[str], adding: str) -> bool:
         """May a user authorized for ``authorized_roles`` gain ``adding``?
 

@@ -186,32 +186,39 @@ class Shard:
         explicit ``config_promote``).  Every op republishes, so any
         swap the lifecycle performed becomes visible immediately.
         """
-        from repro.config.loader import ConfigError, load_config
+        from repro.config.loader import (
+            ConfigError,
+            MissingConfigVersion,
+            load_config,
+        )
         lifecycle = self.ensure_lifecycle()
         try:
             if op == "config_status":
                 return {"op": op, "shard": self.name,
                         "status": lifecycle.status()}
             if op in ("reload", "config_stage"):
+                # staged under the live policy's name (the shard name
+                # for a served boot): a promotion never renames the
+                # policy, so the name must not move the checksum
+                name = self.engine.policy.name
                 path = args.get("path") or self.config_path
                 version = args.get("version")
                 if args.get("source") is not None:
                     from repro.config.loader import parse_config
                     config = parse_config(
                         str(args["source"]), args.get("format", "yaml"),
-                        version=version)
+                        version=version, name=name)
                 elif path is not None:
                     try:
-                        config = load_config(path, version=version)
-                    except ConfigError as exc:
+                        config = load_config(path, version=version,
+                                             name=name)
+                    except MissingConfigVersion:
                         # raw DSL files carry no version key: a reload
                         # of one auto-assigns the next version id
-                        if version is not None \
-                                or "version" not in str(exc):
-                            raise
                         config = load_config(
                             path,
-                            version=(self.engine.config_version or 1) + 1)
+                            version=(self.engine.config_version or 1) + 1,
+                            name=name)
                 else:
                     raise AdministrationError(
                         f"{op}: shard {self.name!r} has no config path "

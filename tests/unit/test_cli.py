@@ -344,3 +344,44 @@ class TestServeArgs:
                      "--roles", "3",
                      "--chaos-check", "shard99:5:2"]) == 2
         assert "--chaos-check" in capsys.readouterr().err
+
+
+def _json_config(tmp_path, name, users=("u",)):
+    import json
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "version": 1, "name": name, "roles": ["A"], "users": ["u"],
+        "assignments": [{"user": user, "role": "A"} for user in users],
+    }))
+    return path
+
+
+class TestServeBootFiles:
+    """``serve --shard NAME=FILE`` boot files (no server is bound)."""
+
+    def test_invalid_versioned_config_names_the_problem(self, tmp_path,
+                                                        capsys):
+        path = _json_config(tmp_path, "bad", users=("u", "ghost"))
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--shard", f"s={path}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "undeclared user 'ghost'" in err
+        assert "syntax error" not in err
+
+    @pytest.mark.parametrize("file_name", ["shard00", "tenantA"])
+    def test_reload_of_unchanged_boot_file_is_a_noop(self, tmp_path,
+                                                     file_name):
+        from repro.cli import _boot_router, build_parser
+
+        path = _json_config(tmp_path, file_name)
+        args = build_parser().parse_args(
+            ["serve", "--shard", f"shard00={path}"])
+        router, _durabilities = _boot_router(args)
+        shard = router.shard("shard00")
+        assert shard.engine.policy.name == "shard00"
+        assert shard.engine.config_version == 1
+        report = shard.admin_op("reload", {})
+        assert report["unchanged"] is True
+        assert report["active_version"] == 1

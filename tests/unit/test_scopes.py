@@ -445,6 +445,33 @@ class TestServeScopedChecks:
         assert shard.scoped_checks == 2
         assert shard.health()["serve"]["scoped_checks"] == 2
 
+    @pytest.mark.parametrize("scope", ["typo", "initech"])
+    def test_refused_scoped_assign_leaves_no_flat_grant(self, scope):
+        """An unknown (or removed) scope is refused before the flat
+        assignUser commit, so the live model never holds a grant the
+        policy lacks."""
+        from repro.policy.spec import build_model
+        from repro.serve import ShardRouter
+
+        router = ShardRouter()
+        engine = ActiveRBACEngine.from_policy(parse_policy(TENANTS))
+        shard = router.add_shard("t", engine)
+        if scope == "initech":
+            shard.admin_op("add_scope", {"scope": scope})
+            shard.admin_op("remove_scope", {"scope": scope})
+        with pytest.raises(UnknownScopeError):
+            shard.admin_op("assign", {"user": "dana", "role": "Auditor",
+                                      "scope": scope})
+        assert not shard.check("dana", "read", "document")["allowed"]
+
+        def assignments(model):
+            return {user: {role: model.assignment_scopes(user, role)
+                           for role in model.assigned_roles(user)}
+                    for user in model.users}
+
+        assert assignments(engine.model) \
+            == assignments(build_model(engine.policy))
+
     def test_router_explain_threads_the_scope(self):
         from repro.serve import ShardRouter
 

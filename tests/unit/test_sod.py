@@ -68,6 +68,12 @@ class TestRegistryAdministration:
     def test_delete_clears_role_index(self, registry):
         registry.delete_ssd("ssd1")
         assert registry.ssd_ok({"AC"}, "PC")  # no constraint anymore
+        assert not registry.ssd_mentions({"PC", "AC"})
+
+    def test_ssd_mentions_only_ssd_member_roles(self, registry):
+        assert registry.ssd_mentions({"Clerk", "PC"})
+        assert not registry.ssd_mentions({"Clerk", "Teller"})  # DSD only
+        assert not registry.ssd_mentions(())
 
 
 class TestChecks:
