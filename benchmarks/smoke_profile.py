@@ -40,6 +40,14 @@ recorder-free check.  Written to
 ``benchmarks/results/BENCH_provenance.json``; ``--provenance-only``
 runs just this leg (the CI gate).
 
+Plus one *footprint* leg, counted rather than timed: a full audit ring
+of ``decision.allow`` records, with names parsed fresh from request
+JSON, may cost at most 160 bytes per retained record
+(``AUDIT_RECORD_BUDGET``) under :mod:`tracemalloc`.  The bytes
+per provisioned principal are reported beside it.  Byte counts are
+exact, so this leg gives the same verdict on every rerun.  Written to
+``benchmarks/results/BENCH_footprint.json``.
+
 Measurement methodology: the shared on/off discipline of
 ``_harness.py`` — short sub-quantum rounds (~50 checks, ~1.5 ms, so the
 per-state *minimum* comes from an unpreempted window), interleaved
@@ -75,6 +83,11 @@ from _harness import (  # noqa: E402
 )
 
 from repro import ActiveRBACEngine  # noqa: E402
+from repro.serve.shard import Shard  # noqa: E402
+from repro.testing.footprint import (  # noqa: E402
+    audit_record_bytes,
+    principal_bytes,
+)
 from repro.wal import Durability  # noqa: E402
 from repro.workloads import EnterpriseShape, generate_enterprise  # noqa: E402
 
@@ -82,6 +95,9 @@ CHECKS = 50         # checkAccess calls per timed round (sub-quantum)
 ROUNDS = 120        # alternating on/off round pairs
 MUTATION_CHECKS = 200   # checks after each mutation in a mutation round
 MUTATION_ROUNDS = 40    # alternating on/off mutation round pairs
+AUDIT_RECORDS = 20_000  # audit ring capacity in the footprint leg
+PRINCIPALS = 300        # principals provisioned per footprint batch
+AUDIT_RECORD_BUDGET = 160   # bytes per retained audit record
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -270,6 +286,39 @@ def check_provenance(engine, sid, operation, obj,
     return ok
 
 
+def check_footprint(budget: float) -> bool:
+    """Bytes per retained audit record against ``budget``, and bytes
+    per provisioned principal, + BENCH_footprint.json."""
+    spec = generate_enterprise(EnterpriseShape(
+        roles=100, users=2 * PRINCIPALS, tree_depth=2, tree_fanout=3,
+        seed=13))
+
+    def measure(_rounds: int) -> tuple[float, float]:
+        engine = ActiveRBACEngine(spec, audit_capacity=AUDIT_RECORDS)
+        per_record = audit_record_bytes(engine)
+        return per_record, principal_bytes(Shard("footprint", engine),
+                                           PRINCIPALS)
+
+    ok, (per_record, per_principal) = gate(
+        measure, 1, lambda r: r[0] <= budget,
+        lambda r: f"audit footprint: {r[0]:.1f} B per retained "
+                  f"decision.allow record (budget {budget:.0f} B), "
+                  f"{r[1]:.0f} B per provisioned principal")
+    if not ok:
+        print("FAIL: audit records exceed the footprint budget",
+              file=sys.stderr)
+    write_result("BENCH_footprint.json", {
+        "workload": f"{AUDIT_RECORDS} decision.allow records, names "
+                    f"parsed from JSON; {PRINCIPALS} principals after "
+                    f"{PRINCIPALS} untraced ones",
+        "bytes_per_record": round(per_record, 1),
+        "budget_bytes_per_record": budget,
+        "bytes_per_principal": round(per_principal, 1),
+        "pass": ok,
+    })
+    return ok
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kernel-only", action="store_true",
@@ -356,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
     engine.obs.enabled = True
     if not check_provenance(engine, sid, operation, obj,
                             provenance_budget):
+        ok = False
+
+    if not check_footprint(AUDIT_RECORD_BUDGET):
         ok = False
 
     if ok:

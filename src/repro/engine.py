@@ -131,6 +131,7 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.monitor = ActiveSecurityMonitor(self)
         self.policy = policy.clone() if policy is not None else PolicySpec()
         self.model = build_model(self.policy)
+        self.audit.names = self.model.names
         self.obs.attach_hierarchy(self.model.hierarchy)
         self.locked_users: set[str] = set()
         #: optional :class:`~repro.wal.Durability` write-ahead log; when

@@ -168,8 +168,9 @@ class FlightRecorder:
         return [self._entry_dict(e) for e in entries]
 
     def tail(self, n: int = 10) -> list[dict[str, Any]]:
-        """The most recent ``n`` entries, oldest first."""
-        return self.snapshot()[-n:]
+        """The most recent ``n`` entries, oldest first (none for
+        ``n <= 0``)."""
+        return self.snapshot()[-n:] if n > 0 else []
 
     # -- dumping -----------------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.rbac.model import RBACModel
 from repro.security.monitor import ThresholdPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserSpec:
     """A declared user. ``max_active_roles`` is scenario 1's specialized
     cardinality ("Jane at most five active roles")."""

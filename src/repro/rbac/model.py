@@ -51,7 +51,7 @@ class Permission:
         return f"({self.operation}, {self.obj})"
 
 
-@dataclass
+@dataclass(slots=True)
 class User:
     """An instance of entity U: a human or user agent (paper §4.1).
 
@@ -62,10 +62,9 @@ class User:
 
     name: str
     max_active_roles: int | None = None
-    attributes: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Role:
     """An instance of entity R: a job function (paper §4.1).
 
@@ -78,10 +77,9 @@ class Role:
     name: str
     max_active_users: int | None = None
     enabled: bool = True
-    attributes: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """A user's session with its active role set (paper footnote 9)."""
 
@@ -118,6 +116,13 @@ class RBACModel:
         #: assignment scope limits: (user, role) -> scopes the assignment
         #: is bounded to; absent pair = unbounded (flat) assignment
         self._ua_scopes: dict[tuple[str, str], set[str]] = {}
+        #: the one copy of every user, role, operation, object and scope
+        #: name, keyed by itself: the audit log and the serve plane store
+        #: names parsed from requests through it, so a retained record
+        #: shares the policy's string.  Written only where a name is
+        #: created or deleted, so it is bounded by the policy, never by
+        #: traffic (see docs/ARCHITECTURE.md, "Audit log").
+        self.names: dict[str, str] = {}
 
     # ======================================================================
     # administrative commands
@@ -126,6 +131,7 @@ class RBACModel:
     def add_user(self, name: str, max_active_roles: int | None = None) -> User:
         if name in self.users:
             raise DuplicateEntityError(f"user {name!r} already exists")
+        name = self._name(name)
         user = User(name, max_active_roles)
         self.users[name] = user
         self._ua[name] = set()
@@ -142,11 +148,13 @@ class RBACModel:
         for pair in [p for p in self._ua_scopes if p[0] == name]:
             del self._ua_scopes[pair]
         del self.users[name]
+        self._forget_name(name)
 
     def add_role(self, name: str, max_active_users: int | None = None,
                  enabled: bool = True) -> Role:
         if name in self.roles:
             raise DuplicateEntityError(f"role {name!r} already exists")
+        name = self._name(name)
         role = Role(name, max_active_users, enabled)
         self.roles[name] = role
         self._pa[name] = set()
@@ -167,15 +175,18 @@ class RBACModel:
         for session in self.sessions.values():
             session.active_roles.discard(name)
         del self.roles[name]
+        self._forget_name(name)
 
     def add_operation(self, operation: str) -> None:
-        self.operations.add(operation)
+        self.operations.add(self._name(operation))
 
     def add_object(self, obj: str) -> None:
-        self.objects.add(obj)
+        self.objects.add(self._name(obj))
 
     def add_permission(self, operation: str, obj: str) -> Permission:
         """Register a permission (operation, object); idempotent."""
+        operation = self._name(operation)
+        obj = self._name(obj)
         self.operations.add(operation)
         self.objects.add(obj)
         permission = Permission(operation, obj)
@@ -320,6 +331,7 @@ class RBACModel:
     def add_scope(self, name: str, parent: str | None = None) -> None:
         """Declare a scope under ``parent`` (root when None)."""
         self.scopes.add_scope(name, parent)
+        self._name(name)
 
     def remove_scope(self, name: str) -> None:
         """Remove a leaf scope; refuses while grants or assignment
@@ -341,6 +353,7 @@ class RBACModel:
                 f"scope {name!r} still bounds assignment(s) {limited}"
             )
         self.scopes.remove_scope(name)
+        self._forget_name(name)
 
     def limit_assignment_scope(self, user: str, role: str,
                                scope: str) -> None:
@@ -480,7 +493,7 @@ class RBACModel:
     # — performs the W-clause checks and then commits via these.
 
     def create_session_record(self, session_id: str, user: str) -> Session:
-        self._require_user(user)
+        user = self._require_user(user).name
         if session_id in self.sessions:
             raise DuplicateEntityError(
                 f"session {session_id!r} already exists"
@@ -803,6 +816,18 @@ class RBACModel:
     # ======================================================================
     # internals
     # ======================================================================
+
+    def _name(self, name: str) -> str:
+        """The model's one copy of ``name``, recorded in :attr:`names`."""
+        return self.names.setdefault(name, name)
+
+    def _forget_name(self, name: str) -> None:
+        """Drop ``name`` from :attr:`names` once no element uses it (a
+        user and an object may share a name)."""
+        if not (name in self.users or name in self.roles
+                or name in self.operations or name in self.objects
+                or name in self.scopes):
+            self.names.pop(name, None)
 
     def _require_user(self, name: str) -> User:
         try:

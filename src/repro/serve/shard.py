@@ -276,9 +276,13 @@ class Shard:
         failing the whole login), mirroring what a stateless check API
         means by "may the user do this".  Sessions destroyed underneath
         us (lockout, countermeasures) are transparently re-created on
-        the next request — or denied, if the rules now say so.
+        the next request — or denied, if the rules now say so.  The
+        table is keyed on the policy's own copy of the name
+        (:attr:`RBACModel.names <repro.rbac.model.RBACModel.names>`),
+        not on the string parsed from the first request.
         """
         engine = self.engine
+        user = engine.model.names.get(user, user)
         sid = self._sessions.get(user)
         if sid is not None and sid in engine.model.sessions:
             return sid

@@ -70,6 +70,45 @@ class TestElementAdministration:
             model.assign_user("ghost", "PC")
 
 
+class TestNameTable:
+    def test_holds_every_element_name(self, model):
+        model.add_scope("ward")
+        assert set(model.names) == {
+            "bob", "carol", "PM", "PC", "AC", "Clerk", "create",
+            "purchase_order", "read", "ledger", "ward"}
+        assert all(key is value for key, value in model.names.items())
+
+    def test_elements_share_the_tables_copy(self, model):
+        fresh = "".join(["da", "ve"])
+        model.add_user(fresh)
+        model.add_permission("read", "".join(["da", "ve"]))
+        (key,) = [k for k in model.users if k == "dave"]
+        assert key is model.names["dave"] is model.users["dave"].name
+        assert any(o is key for o in model.objects)
+        model.create_session_record("s1", "".join(["da", "ve"]))
+        assert model.sessions["s1"].user is key
+
+    def test_deleting_an_element_forgets_only_unused_names(self, model):
+        model.add_permission("read", "bob")  # an object named like a user
+        model.delete_user("bob")
+        model.delete_user("carol")
+        model.delete_role("AC")
+        model.add_scope("ward")
+        model.remove_scope("ward")
+        assert "bob" in model.names
+        assert {"carol", "AC", "ward"}.isdisjoint(model.names)
+
+    def test_refused_commands_add_no_name(self, model):
+        before = dict(model.names)
+        with pytest.raises(DuplicateEntityError):
+            model.add_user("bob")
+        with pytest.raises(AdministrationError):
+            model.add_scope("ward", parent="ghost")
+        with pytest.raises(UnknownUserError):
+            model.create_session_record("s1", "ghost")
+        assert model.names == before
+
+
 class TestAssignment:
     def test_assign_and_deassign(self, model):
         model.assign_user("bob", "PC")

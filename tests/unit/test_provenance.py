@@ -92,6 +92,13 @@ class TestFlightRecorder:
             flight.note_firing(float(step), f"r{step}", "e", "then")
         assert [r["seq"] for r in flight.tail(2)] == [5, 6]
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_tail_of_nothing_is_empty(self, n):
+        flight = FlightRecorder(capacity=16)
+        for step in range(6):
+            flight.note_firing(float(step), f"r{step}", "e", "then")
+        assert flight.tail(n) == []
+
     def test_disabled_recorder_drops_everything(self):
         flight = FlightRecorder(capacity=4)
         flight.enabled = False
