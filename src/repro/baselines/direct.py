@@ -74,8 +74,7 @@ class DirectRBACEngine(EnforcementHelpers):
 
     def add_permission(self, operation: str, obj: str) -> None:
         self.model.add_permission(operation, obj)
-        if (operation, obj) not in self.policy.permissions:
-            self.policy.permissions.append((operation, obj))
+        self.policy.apply(("add_permission", operation, obj))
 
     def grant_permission(self, role: str, operation: str, obj: str) -> None:
         self.model.grant_permission(role, operation, obj)
@@ -113,17 +112,11 @@ class DirectRBACEngine(EnforcementHelpers):
         # through the cascading path (anchor cleanup, timers)
         for session_id, stale in self.unauthorized_activations(user):
             self._commit_deactivation(session_id, stale)
-        try:
-            self.policy.assignments.remove((user, role))
-        except ValueError:
-            pass
+        self.policy.apply(("deassign_user", user, role))
 
     def delete_inheritance(self, senior: str, junior: str) -> None:
         self.model.delete_inheritance(senior, junior)
-        try:
-            self.policy.hierarchy.remove((senior, junior))
-        except ValueError:
-            pass
+        self.policy.apply(("delete_inheritance", senior, junior))
         for session_id, stale in self.unauthorized_activations():
             self._commit_deactivation(session_id, stale)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.policy.spec import PolicySpec
+from repro.policy.spec import ROW_OPS, PolicySpec
 
 __all__ = ["ConfigDiff", "diff_specs", "rule_signature"]
 
@@ -125,6 +125,11 @@ def _sod_rows(family: dict) -> set[tuple]:
             for name, sod in family.items()}
 
 
+def _rows(field: str, a: PolicySpec, b: PolicySpec) -> list[tuple]:
+    """The rows of ``a``'s set-valued ``field`` that ``b`` lacks."""
+    return sorted(set(getattr(a, field)) - set(getattr(b, field)))
+
+
 def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
     """Compute the deployment delta from ``old`` to ``new``."""
     diff = ConfigDiff()
@@ -137,19 +142,10 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
 
     old_users, new_users = set(old.users), set(new.users)
 
-    # -- deassignments and revocations first (they reference state the
-    # removals below would tear down)
-    for user, role in sorted(set(old.assignments) - set(new.assignments)):
-        ops.append(("deassign_user", user, role))
-    for user, role, scope in sorted(
-            set(old.scoped_assignments) - set(new.scoped_assignments)):
-        ops.append(("deassign_scoped", user, role, scope))
-    for grant in sorted(set(old.grants) - set(new.grants)):
-        ops.append(("revoke", *grant))
-    for grant in sorted(set(old.scoped_grants) - set(new.scoped_grants)):
-        ops.append(("revoke_scoped", *grant))
-    for edge in sorted(set(old.hierarchy) - set(new.hierarchy)):
-        ops.append(("delete_inheritance", *edge))
+    # -- deassignments, revocations and dropped edges first (they
+    # reference state the removals below would tear down)
+    for field, (_, remove) in ROW_OPS.items():
+        ops.extend((remove, *row) for row in _rows(field, old, new))
     for family, old_fam, new_fam in (("ssd", old.ssd, new.ssd),
                                      ("dsd", old.dsd, new.dsd)):
         stale = _sod_rows(old_fam) - _sod_rows(new_fam)
@@ -182,8 +178,8 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
                 != new.roles[role].max_active_users:
             ops.append(("set_role_cardinality", role,
                         new.roles[role].max_active_users))
-    for edge in sorted(set(new.hierarchy) - set(old.hierarchy)):
-        ops.append(("add_inheritance", *edge))
+    ops.extend(("add_inheritance", *edge)
+               for edge in _rows("hierarchy", new, old))
     for family, old_fam, new_fam in (("ssd", old.ssd, new.ssd),
                                      ("dsd", old.dsd, new.dsd)):
         fresh = _sod_rows(new_fam) - _sod_rows(old_fam)
@@ -197,15 +193,10 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
     for pair in new.permissions:
         if pair not in old.permissions:
             ops.append(("add_permission", *pair))
-    for grant in sorted(set(new.grants) - set(old.grants)):
-        ops.append(("grant", *grant))
-    for grant in sorted(set(new.scoped_grants) - set(old.scoped_grants)):
-        ops.append(("grant_scoped", *grant))
-    for user, role in sorted(set(new.assignments) - set(old.assignments)):
-        ops.append(("assign_user", user, role))
-    for user, role, scope in sorted(
-            set(new.scoped_assignments) - set(old.scoped_assignments)):
-        ops.append(("assign_scoped", user, role, scope))
+    for field in ("grants", "scoped_grants", "assignments",
+                  "scoped_assignments"):
+        ops.extend((ROW_OPS[field][0], *row)
+                   for row in _rows(field, new, old))
 
     # -- rule-relevant role changes (see module docstring)
     for role in sorted(survivors):

@@ -21,16 +21,17 @@ versions:
    statically comparable answers.
 3. **promote** — once the :class:`RolloutBudget` is satisfied (enough
    comparable samples, divergence and error counts inside budget), the
-   delta is applied through the engine's own administration methods
-   (so session revocation, SoD enforcement and audit all behave
-   exactly as a hand-applied change would), spec-only descriptors are
+   delta is applied through the one administrative op table
+   (:meth:`ActiveRBACEngine.apply`: session revocation, SoD enforcement
+   and audit all behave exactly as a hand-applied change would, and an
+   op the live state refuses writes nothing), spec-only descriptors are
    delta-patched, affected rules are regenerated incrementally
    (:func:`~repro.synthesis.regenerate.regenerate_diff` — untouched
    rule objects keep their identity and their quarantine/counter
    state), and the decision plane swaps in **one** epoch bump with an
    eagerly recompiled kernel.  The WAL carries a single
    ``config.promote`` record with the version id and the full rendered
-   post-swap policy; intermediate admin-method epoch records are
+   post-swap policy; intermediate per-op epoch records are
    suppressed (the promotion is one logical swap).
 4. **hold** — after promotion the tap keeps mirroring, now against the
    *previous* kernel, under the same budget: a promotion that starts
@@ -571,98 +572,36 @@ class PolicyLifecycle:
                      new_spec: "PolicySpec") -> dict[str, Any]:
         """Apply the old→new delta to the live engine.
 
-        Model-level ops go through the engine's own administration
-        methods (session revocation, SoD enforcement and audit behave
-        exactly like a hand-applied change); an op the drifted live
-        state no longer accepts is skipped and reported, never fatal.
-        Per-op ``policy.epoch`` WAL records are suppressed — the caller
-        logs the one swap record that carries the final policy.
+        Model-level ops go through the engine's one op table
+        (:meth:`~repro.engine.ActiveRBACEngine.apply`), so session
+        revocation, SoD enforcement and audit behave exactly like a
+        hand-applied change; an op the drifted live state no longer
+        accepts is skipped, leaves no trace, and is reported, never
+        fatal.
+        Rules regenerate once, after the descriptor patch, for the
+        roles the diff names; per-op ``policy.epoch`` WAL records are
+        suppressed — the caller logs the one swap record that carries
+        the final policy.
         """
         engine = self.engine
         diff = diff_specs(old_spec, new_spec)
         skipped: list[dict[str, Any]] = []
-
-        def quiet_epoch() -> None:
-            engine.policy_epoch += 1
-
-        engine._note_policy_change = quiet_epoch  # type: ignore[method-assign]
-        try:
-            for op in diff.model_ops:
-                try:
-                    self._dispatch(op)
-                except (ReproError, KeyError, ValueError) as exc:
-                    skipped.append({"op": op[0],
-                                    "args": [repr(a) for a in op[1:]],
-                                    "error": str(exc)})
-            self._apply_descriptors(old_spec, new_spec)
-            if diff.privacy_changed:
-                self._rebuild_privacy()
-            if diff.thresholds_changed:
-                self._reseed_thresholds()
-            from repro.synthesis.regenerate import regenerate_diff
-            report = regenerate_diff(engine, diff)
-        finally:
-            del engine.__dict__["_note_policy_change"]
+        for op in diff.model_ops:
+            try:
+                engine.apply(op, batch=True)
+            except (ReproError, KeyError, ValueError) as exc:
+                skipped.append({"op": op[0],
+                                "args": [repr(a) for a in op[1:]],
+                                "error": str(exc)})
+        self._apply_descriptors(old_spec, new_spec)
+        if diff.privacy_changed:
+            engine._load_privacy()
+        if diff.thresholds_changed:
+            engine.monitor.set_policies(engine.policy.threshold_policies)
+        from repro.synthesis.regenerate import regenerate_diff
+        report = regenerate_diff(engine, diff)
         return {"diff": diff.summary(), "skipped": skipped,
                 "regenerated": sorted(report.affected_roles)}
-
-    def _dispatch(self, op: tuple[Any, ...]) -> None:
-        engine = self.engine
-        name, args = op[0], op[1:]
-        if name == "deassign_user":
-            engine.deassign_user(*args)
-        elif name == "revoke":
-            engine.revoke_permission(*args)
-        elif name == "delete_inheritance":
-            engine.delete_inheritance(*args)
-        elif name == "delete_ssd":
-            engine.model.delete_ssd_set(args[0])
-            engine.policy.ssd.pop(args[0], None)
-        elif name == "delete_dsd":
-            engine.model.delete_dsd_set(args[0])
-            engine.policy.dsd.pop(args[0], None)
-        elif name == "delete_role":
-            engine.delete_role(args[0])
-        elif name == "delete_user":
-            engine.delete_user(args[0])
-        elif name == "add_user":
-            engine.add_user(*args)
-        elif name == "set_user_max_roles":
-            engine.policy.add_user(args[0], args[1])
-            engine.model.users[args[0]].max_active_roles = args[1]
-        elif name == "add_role":
-            engine.add_role(*args)
-        elif name == "set_role_cardinality":
-            engine.policy.add_role(args[0], args[1])
-            engine.model.roles[args[0]].max_active_users = args[1]
-        elif name == "add_inheritance":
-            engine.add_inheritance(*args)
-        elif name == "create_ssd":
-            engine.create_ssd_set(args[0], set(args[1]), args[2])
-        elif name == "create_dsd":
-            engine.create_dsd_set(args[0], set(args[1]), args[2])
-        elif name == "add_permission":
-            engine.add_permission(*args)
-        elif name == "grant":
-            engine.grant_permission(*args)
-        elif name == "assign_user":
-            engine.assign_user(*args)
-        elif name == "add_scope":
-            engine.add_scope(*args)
-        elif name == "remove_scope":
-            engine.remove_scope(args[0])
-        elif name == "grant_scoped":
-            engine.grant_permission(args[0], args[1], args[2],
-                                    scope=args[3])
-        elif name == "revoke_scoped":
-            engine.revoke_permission(args[0], args[1], args[2],
-                                     scope=args[3])
-        elif name == "assign_scoped":
-            engine.assign_user(args[0], args[1], scope=args[2])
-        elif name == "deassign_scoped":
-            engine.deassign_scope(*args)
-        else:  # differ and lifecycle grew apart — fail loudly
-            raise ConfigError(f"unknown model op {name!r}")
 
     def _apply_descriptors(self, old_spec: "PolicySpec",
                            new_spec: "PolicySpec") -> None:
@@ -687,22 +626,6 @@ class PolicyLifecycle:
                 if item not in old_items and item not in live:
                     live.append(item)
 
-    def _rebuild_privacy(self) -> None:
-        from repro.extensions.privacy import PrivacyRegistry
-        engine = self.engine
-        engine.privacy = PrivacyRegistry()
-        for purpose, parent in engine.policy.purposes:
-            engine.privacy.purposes.add(purpose, parent)
-        for object_policy in engine.policy.object_policies:
-            engine.privacy.add_policy(object_policy)
-
-    def _reseed_thresholds(self) -> None:
-        monitor = self.engine.monitor
-        monitor._policies.clear()
-        monitor._windows.clear()
-        for threshold in self.engine.policy.threshold_policies:
-            monitor.add_policy(threshold)
-
     def _swap(self, op: str, **data: Any) -> dict[str, Any]:
         """The atomic decision-plane swap: one epoch bump, one WAL
         record carrying the final rendered policy, eager recompile.
@@ -711,13 +634,8 @@ class PolicyLifecycle:
         (RCU discipline: the engine swaps ``_kernel`` in one
         assignment); ``last_swap_ns`` is the recompile pause the
         benchmark budgets."""
-        from repro.policy.dsl import render_policy
         engine = self.engine
-        engine.policy_epoch += 1
-        wal = engine.wal
-        if wal is not None:
-            wal.log(op, epoch=engine.policy_epoch,
-                    policy=render_policy(engine.policy), **data)
+        engine._note_policy_change(op, **data)
         start = time.perf_counter_ns()
         engine.invalidate_kernel()
         rebuilt = False

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.errors import RetryExhausted, TransientError
 from repro.rules.rule import OWTERule, RuleClass
@@ -74,6 +74,19 @@ class FailurePolicy:
                 or rule.tags.get(ADVISORY_TAG) == "1")
 
 
+def _schedule(attempts: int, base_delay: float, factor: float,
+              max_delay: float) -> Iterator[tuple[int, float | None]]:
+    """The one retry schedule: ``(attempt, backoff before the next
+    attempt)`` pairs, the last with None."""
+    if attempts < 1:
+        raise ValueError("attempts must be >= 1")
+    delay = base_delay
+    for attempt in range(1, attempts):
+        yield attempt, delay
+        delay = min(delay * factor if delay > 0 else base_delay, max_delay)
+    yield attempts, None
+
+
 def retry_transient(fn: Callable[[], T], *,
                     attempts: int = 3,
                     base_delay: float = 0.0,
@@ -97,21 +110,17 @@ def retry_transient(fn: Callable[[], T], *,
     ``on_retry(attempt, exc)`` is invoked before each re-attempt (the
     engine wires a metrics bump here).
     """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    delay = base_delay
-    for attempt in range(1, attempts + 1):
+    for attempt, delay in _schedule(attempts, base_delay, factor,
+                                    max_delay):
         try:
             return fn()
         except retry_on as exc:
-            if attempt == attempts:
+            if delay is None:
                 raise RetryExhausted(attempts, exc) from exc
             if on_retry is not None:
                 on_retry(attempt, exc)
             if sleep is not None and delay > 0:
                 sleep(delay)
-            delay = min(delay * factor if delay > 0 else base_delay,
-                        max_delay)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -137,26 +146,22 @@ async def retry_transient_async(fn, *,
     does not reconnect in lockstep; pass None for the deterministic
     full-delay schedule.
     """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
     if sleep is None:
         import asyncio
 
         sleep = asyncio.sleep
-    delay = base_delay
-    for attempt in range(1, attempts + 1):
+    for attempt, delay in _schedule(attempts, base_delay, factor,
+                                    max_delay):
         try:
             return await fn()
         except retry_on as exc:
-            if attempt == attempts:
+            if delay is None:
                 raise RetryExhausted(attempts, exc) from exc
             if on_retry is not None:
                 on_retry(attempt, exc)
             if delay > 0:
                 await sleep(delay * jitter() if jitter is not None
                             else delay)
-            delay = min(delay * factor if delay > 0 else base_delay,
-                        max_delay)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -30,7 +30,7 @@ engine and administer it imperatively.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.clock import Deadline, TimerService, VirtualClock
 from repro.containment import FailurePolicy
@@ -127,7 +127,6 @@ class ActiveRBACEngine(EnforcementHelpers):
         #: :mod:`repro.obs.provenance` and :meth:`dump_flight`)
         self.flight = FlightRecorder()
         self.context.attach(self.detector)
-        self.privacy = PrivacyRegistry()
         self.monitor = ActiveSecurityMonitor(self)
         self.policy = policy.clone() if policy is not None else PolicySpec()
         self.model = build_model(self.policy)
@@ -173,11 +172,7 @@ class ActiveRBACEngine(EnforcementHelpers):
         #: granted the check in flight (None outside a check)
         self._decision: str | None = None
 
-        # privacy registry from the policy
-        for purpose, parent in self.policy.purposes:
-            self.privacy.purposes.add(purpose, parent)
-        for object_policy in self.policy.object_policies:
-            self.privacy.add_policy(object_policy)
+        self._load_privacy()
 
         # generate the rule pool from the policy
         from repro.synthesis.generator import RuleGenerator
@@ -185,10 +180,17 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.generator.generate_all()
 
         # threshold policies -> active security monitor
-        for threshold in self.policy.threshold_policies:
-            self.monitor.add_policy(threshold)
+        self.monitor.set_policies(self.policy.threshold_policies)
 
         self.rules.observe(self._record_rule_firing)
+
+    def _load_privacy(self) -> None:
+        """(Re)build the privacy registry from the policy."""
+        self.privacy = PrivacyRegistry()
+        for purpose, parent in self.policy.purposes:
+            self.privacy.purposes.add(purpose, parent)
+        for object_policy in self.policy.object_policies:
+            self.privacy.add_policy(object_policy)
 
     @classmethod
     def from_policy(cls, policy: PolicySpec,
@@ -228,11 +230,42 @@ class ActiveRBACEngine(EnforcementHelpers):
         return fired
 
     # ======================================================================
-    # administration (direct model edits + audit; assignments go via rules)
+    # administration: every static-policy edit is one op of OPS (below)
     # ======================================================================
 
-    def _note_policy_change(self) -> None:
-        """Bump the policy epoch and WAL-log the re-rendered policy.
+    def apply(self, op: tuple[Any, ...], *, batch: bool = False) -> Any:
+        """Apply one administrative op ``(name, *args)`` of :data:`OPS`
+        (the config differ's vocabulary): the only writer of static
+        policy.
+
+        The op's step runs every guard before its first write, then
+        writes the model.  One tail follows: the same op applied to
+        ``self.policy`` (:meth:`PolicySpec.apply`), rule regeneration,
+        the audit record, and the epoch bump with its WAL record.  A
+        raising op writes nothing.  Returns the regeneration report,
+        if any.  ``batch=True`` (a config swap) leaves regeneration
+        and the WAL record to the caller, once for the whole batch.
+        """
+        name, args = op[0], op[1:]
+        try:
+            step, kind, keys = OPS[name]
+        except KeyError:
+            raise AdministrationError(f"unknown admin op {name!r}") from None
+        if name in SCOPED.values() and args[-1] == SCOPE_ROOT:
+            raise AdministrationError(
+                f"{name}: the root scope is the flat op; omit the scope")
+        roles = step(self, *args)
+        self.policy.apply(op)
+        report = self._regenerate(roles) if roles and not batch else None
+        if kind is not None:
+            self.audit.record(kind, **dict(zip(keys, args)))
+        self._note_policy_change(None if batch else "policy.epoch")
+        return report
+
+    def _note_policy_change(self, record: str | None = "policy.epoch",
+                            **data: Any) -> None:
+        """Bump the policy epoch and WAL-log the re-rendered policy as
+        ``record`` (None: no record): the tail of every policy edit.
 
         Replaying a session-level WAL record only makes sense against
         the policy in force when it was appended; the epoch record
@@ -241,159 +274,37 @@ class ActiveRBACEngine(EnforcementHelpers):
         """
         self.policy_epoch += 1
         wal = self.wal
-        if wal is not None:
+        if record is not None and wal is not None:
             from repro.policy.dsl import render_policy
-            wal.log("policy.epoch", epoch=self.policy_epoch,
-                    policy=render_policy(self.policy))
+            wal.log(record, epoch=self.policy_epoch,
+                    policy=render_policy(self.policy), **data)
 
     def add_user(self, name: str, max_active_roles: int | None = None) -> None:
-        self.model.add_user(name, max_active_roles)
-        self.policy.add_user(name, max_active_roles)
-        self.audit.record("admin.add_user", user=name)
-        self._note_policy_change()
+        self.apply(("add_user", name, max_active_roles))
 
     def delete_user(self, name: str) -> None:
-        self.model.delete_user(name)
-        self.policy.users.pop(name, None)
-        self.policy.assignments = [
-            (u, r) for u, r in self.policy.assignments if u != name
-        ]
-        self.policy.scoped_assignments = [
-            t for t in self.policy.scoped_assignments if t[0] != name
-        ]
-        self.locked_users.discard(name)
-        self.audit.record("admin.delete_user", user=name)
-        self._note_policy_change()
+        self.apply(("delete_user", name))
 
     def add_role(self, name: str, max_active_users: int | None = None) -> None:
         """Add a role and generate its localized rule set."""
-        self.model.add_role(name, max_active_users)
-        self.policy.add_role(name, max_active_users)
-        self.generator.generate_role_rules(name)
-        self.audit.record("admin.add_role", role=name)
-        self._note_policy_change()
+        self.apply(("add_role", name, max_active_users))
 
     def delete_role(self, name: str) -> None:
-        """Delete a role everywhere.
-
-        Constraints mentioning the role are scrubbed from the policy;
-        cross-role rules that involved it (disabling-time SoD partners,
-        CFD pairs, transaction anchors) are retired together with the
-        role's own rules, and the *partner* roles' rules are
-        regenerated from the scrubbed policy — otherwise a partner
-        would silently lose its DR/ER/AAR rule.
-        """
-        from repro.synthesis.regenerate import (
-            affected_roles,
-            regenerate_roles,
-        )
-        partners = affected_roles(self, {name}) - {name}
-        self.model.delete_role(name)
-        policy = self.policy
-        policy.roles.pop(name, None)
-        policy.hierarchy = [e for e in policy.hierarchy if name not in e]
-        policy.assignments = [
-            (u, r) for u, r in policy.assignments if r != name
-        ]
-        policy.grants = [g for g in policy.grants if g[0] != name]
-        policy.scoped_grants = [
-            g for g in policy.scoped_grants if g[0] != name
-        ]
-        policy.scoped_assignments = [
-            t for t in policy.scoped_assignments if t[1] != name
-        ]
-        policy.federation_maps = [
-            m for m in policy.federation_maps if m[0] != name
-        ]
-        policy.prerequisites = [
-            p for p in policy.prerequisites
-            if name not in (p.role, p.prerequisite)
-        ]
-        policy.post_conditions = [
-            p for p in policy.post_conditions
-            if name not in (p.trigger_role, p.required_role)
-        ]
-        policy.transactions = [
-            t for t in policy.transactions
-            if name not in (t.dependent_role, t.anchor_role)
-        ]
-        policy.durations = [d for d in policy.durations if d.role != name]
-        policy.enabling_windows = [
-            w for w in policy.enabling_windows if w.role != name
-        ]
-        policy.context_constraints = [
-            c for c in policy.context_constraints if c.role != name
-        ]
-        from repro.gtrbac.constraints import DisablingTimeSoD
-        scrubbed_sod = []
-        for constraint in policy.disabling_sod:
-            if name not in constraint.roles:
-                scrubbed_sod.append(constraint)
-                continue
-            remaining = constraint.roles - {name}
-            if len(remaining) >= 2:
-                scrubbed_sod.append(DisablingTimeSoD(
-                    constraint.name, remaining, constraint.interval))
-        policy.disabling_sod = scrubbed_sod
-        from repro.policy.spec import SodSetSpec
-        for family in (policy.ssd, policy.dsd):
-            for sod_name in list(family):
-                sod = family[sod_name]
-                if name not in sod.roles:
-                    continue
-                remaining = sod.roles - {name}
-                if len(remaining) >= sod.cardinality:
-                    family[sod_name] = SodSetSpec(
-                        sod.name, remaining, sod.cardinality)
-                else:
-                    del family[sod_name]
-
-        self.generator.remove_role_rules(name)
-        self.generator.remove_role_events(name)
-        regenerate_roles(self, partners & set(policy.roles))
-        self.audit.record("admin.delete_role", role=name)
-        self._note_policy_change()
+        """Delete a role everywhere: constraints mentioning it are
+        scrubbed from the policy and its cross-role partners'
+        rules regenerated."""
+        self.apply(("delete_role", name))
 
     def add_permission(self, operation: str, obj: str) -> None:
-        self.model.add_permission(operation, obj)
-        if (operation, obj) not in self.policy.permissions:
-            self.policy.permissions.append((operation, obj))
-        self.audit.record("admin.add_permission", operation=operation,
-                          object=obj)
-        self._note_policy_change()
+        self.apply(("add_permission", operation, obj))
 
     def grant_permission(self, role: str, operation: str, obj: str,
                          scope: str | None = None) -> None:
-        self.model.grant_permission(role, operation, obj, scope=scope)
-        if scope is None or scope == SCOPE_ROOT:
-            self.policy.grants.append((role, operation, obj))
-            self.audit.record("admin.grant", role=role,
-                              operation=operation, object=obj)
-        else:
-            self.policy.scoped_grants.append((role, operation, obj, scope))
-            self.audit.record("admin.grant", role=role,
-                              operation=operation, object=obj, scope=scope)
-        self._note_policy_change()
+        self.apply(with_scope(("grant", role, operation, obj), scope))
 
     def revoke_permission(self, role: str, operation: str, obj: str,
                           scope: str | None = None) -> None:
-        self.model.revoke_permission(role, operation, obj, scope=scope)
-        if scope is None or scope == SCOPE_ROOT:
-            try:
-                self.policy.grants.remove((role, operation, obj))
-            except ValueError:
-                pass
-            self.audit.record("admin.revoke", role=role,
-                              operation=operation, object=obj)
-        else:
-            try:
-                self.policy.scoped_grants.remove(
-                    (role, operation, obj, scope))
-            except ValueError:
-                pass
-            self.audit.record("admin.revoke", role=role,
-                              operation=operation, object=obj, scope=scope)
-        self._note_policy_change()
+        self.apply(with_scope(("revoke", role, operation, obj), scope))
 
     # -- scope administration (S-A-O-C context tree) -----------------------
 
@@ -403,20 +314,12 @@ class ActiveRBACEngine(EnforcementHelpers):
         Bumps the policy epoch (and the scope tree's own version),
         so the next kernel consult recompiles the scope closure.
         """
-        self.model.add_scope(name, parent)
-        self.policy.add_scope(name, parent)
-        self.audit.record("admin.add_scope", scope=name, parent=parent)
-        self._note_policy_change()
+        self.apply(("add_scope", name, parent))
 
     def remove_scope(self, name: str) -> None:
         """Remove a leaf scope; the model refuses while any grant or
         assignment bound still references it (fail closed)."""
-        self.model.remove_scope(name)
-        self.policy.scopes = [
-            (n, p) for n, p in self.policy.scopes if n != name
-        ]
-        self.audit.record("admin.remove_scope", scope=name)
-        self._note_policy_change()
+        self.apply(("remove_scope", name))
 
     def deassign_scope(self, user: str, role: str, scope: str) -> None:
         """Drop one scope bound from UA(user, role).
@@ -425,65 +328,28 @@ class ActiveRBACEngine(EnforcementHelpers):
         the administrative rule — a scoped assignment never silently
         widens into an unbounded one (fail closed).
         """
-        bounds = self.model.assignment_scopes(user, role)
-        if scope not in bounds:
-            raise AdministrationError(
-                f"assignment ({user!r}, {role!r}) is not bounded to "
-                f"scope {scope!r}"
-            )
-        if len(bounds) == 1:
-            self.deassign_user(user, role)
-            return
-        self.model.remove_assignment_scope(user, role, scope)
-        try:
-            self.policy.scoped_assignments.remove((user, role, scope))
-        except ValueError:
-            pass
-        self.audit.record("admin.deassign_scope", user=user, role=role,
-                          scope=scope)
-        self._note_policy_change()
+        self.apply(("deassign_scoped", user, role, scope))
 
-    def _regenerate(self, roles: set[str]) -> None:
+    def _regenerate(self, roles: set[str]) -> Any:
         """Regenerate the rules of roles whose relationship flags may
         have changed (hierarchy participation selects the AAR variant,
         DSD membership adds the checkDynamicSoDSet condition)."""
         from repro.synthesis.regenerate import regenerate_roles
-        regenerate_roles(self, roles & set(self.policy.roles))
+        return regenerate_roles(self, roles & set(self.policy.roles))
 
     def add_inheritance(self, senior: str, junior: str) -> None:
-        self.model.add_inheritance(senior, junior)
-        self.policy.add_hierarchy(senior, junior)
-        self.audit.record("admin.add_inheritance", senior=senior,
-                          junior=junior)
-        self._regenerate({senior, junior})
-        self._note_policy_change()
+        self.apply(("add_inheritance", senior, junior))
 
     def delete_inheritance(self, senior: str, junior: str) -> None:
-        self.model.delete_inheritance(senior, junior)
-        try:
-            self.policy.hierarchy.remove((senior, junior))
-        except ValueError:
-            pass
-        self.audit.record("admin.delete_inheritance", senior=senior,
-                          junior=junior)
-        self._regenerate({senior, junior})
-        self.revalidate_activations()
-        self._note_policy_change()
+        self.apply(("delete_inheritance", senior, junior))
 
     def create_ssd_set(self, name: str, roles: set[str],
                        cardinality: int = 2) -> None:
-        self.model.create_ssd_set(name, roles, cardinality)
-        self.policy.add_ssd(name, roles, cardinality)
-        self.audit.record("admin.create_ssd", name=name)
-        self._note_policy_change()
+        self.apply(("create_ssd", name, set(roles), cardinality))
 
     def create_dsd_set(self, name: str, roles: set[str],
                        cardinality: int = 2) -> None:
-        self.model.create_dsd_set(name, roles, cardinality)
-        self.policy.add_dsd(name, roles, cardinality)
-        self.audit.record("admin.create_dsd", name=name)
-        self._regenerate(set(roles))
-        self._note_policy_change()
+        self.apply(("create_dsd", name, set(roles), cardinality))
 
     def assign_user(self, user: str, role: str,
                     scope: str | None = None) -> None:
@@ -494,43 +360,12 @@ class ActiveRBACEngine(EnforcementHelpers):
         serves checks inside the scope's subtree (repeat with another
         scope to widen the bound).  Narrowing a pre-existing unbounded
         assignment is refused — revoke-and-reassign makes the intent
-        explicit in the audit trail.  Every guard of the scoped form
-        is checked before the first write, so a refused assignment
-        leaves no flat grant behind.
+        explicit in the audit trail.
         """
-        if scope is None or scope == SCOPE_ROOT:
-            self.detector.raise_event("assignUser", user=user, role=role)
-            self.policy.add_assignment(user, role)
-            self._note_policy_change()
-            return
-        if scope not in self.model.scopes:
-            raise UnknownScopeError(scope)
-        already = self.model.is_assigned(user, role)
-        if already and not self.model.assignment_scopes(user, role):
-            raise AdministrationError(
-                f"user {user!r} already holds role {role!r} unbounded; "
-                f"deassign before narrowing to scope {scope!r}"
-            )
-        if not already:
-            self.detector.raise_event("assignUser", user=user, role=role)
-        if self.model.is_assigned(user, role):
-            self.model.limit_assignment_scope(user, role, scope)
-        self.policy.add_scoped_assignment(user, role, scope)
-        self.audit.record("admin.assign_scope", user=user, role=role,
-                          scope=scope)
-        self._note_policy_change()
+        self.apply(with_scope(("assign_user", user, role), scope))
 
     def deassign_user(self, user: str, role: str) -> None:
-        self.detector.raise_event("deassignUser", user=user, role=role)
-        try:
-            self.policy.assignments.remove((user, role))
-        except ValueError:
-            pass
-        self.policy.scoped_assignments = [
-            t for t in self.policy.scoped_assignments
-            if (t[0], t[1]) != (user, role)
-        ]
-        self._note_policy_change()
+        self.apply(("deassign_user", user, role))
 
     # ======================================================================
     # sessions and activations (system functions, rule-enforced)
@@ -1248,3 +1083,163 @@ class ActiveRBACEngine(EnforcementHelpers):
             kernel is not None and kernel.fresh(self))
         combined.update(self.obs.metrics.snapshot_flat(prefix="obs."))
         return combined
+
+
+# ==========================================================================
+# the administrative op table (applied by ActiveRBACEngine.apply)
+# ==========================================================================
+
+#: flat op -> its scoped twin (the trailing argument is the scope)
+SCOPED = {"grant": "grant_scoped", "revoke": "revoke_scoped",
+          "assign_user": "assign_scoped",
+          "deassign_user": "deassign_scoped"}
+
+
+def with_scope(op: tuple[Any, ...], scope: str | None) -> tuple[Any, ...]:
+    """``op`` bounded to ``scope``: its scoped twin, or ``op`` itself
+    for no scope or the root scope (the flat op)."""
+    if scope is None or scope == SCOPE_ROOT:
+        return op
+    return (SCOPED[op[0]], *op[1:], scope)
+
+
+# -- steps: guards, then the model write; each returns the roles whose
+# rules the tail regenerates once the policy reflects the op
+
+
+def _model(method: str, regen: Callable[..., set[str]] | None = None
+           ) -> Callable[..., set[str] | None]:
+    """A step that is one model write, guarded by the model itself."""
+    def step(engine: ActiveRBACEngine, *args: Any) -> set[str] | None:
+        getattr(engine.model, method)(*args)
+        return regen(*args) if regen is not None else None
+    return step
+
+
+def _rule(event: str) -> Callable[..., None]:
+    """A step that is one administrative rule: its W clause is the
+    guard and its THEN branch the write (and audit record)."""
+    def step(engine: ActiveRBACEngine, user: str, role: str) -> None:
+        engine.detector.raise_event(event, user=user, role=role)
+        # fail closed: a disabled rule commits nothing
+        if engine.model.is_assigned(user, role) != (event == "assignUser"):
+            raise OperationDenied(
+                f"{event} not committed (rules disabled?)")
+    return step
+
+
+_ASSIGN = _rule("assignUser")
+_DEASSIGN = _rule("deassignUser")
+
+
+def _delete_user(engine: ActiveRBACEngine, name: str) -> None:
+    engine.model.delete_user(name)
+    engine.locked_users.discard(name)
+
+
+def _delete_role(engine: ActiveRBACEngine, name: str) -> set[str]:
+    """Cross-role rules that involved the role (disabling-time SoD
+    partners, CFD pairs, transaction anchors) retire with its own;
+    the partners regenerate from the scrubbed policy, or they would
+    silently lose their DR/ER/AAR rule."""
+    from repro.synthesis.regenerate import affected_roles
+    partners = affected_roles(engine, {name}) - {name}
+    engine.model.delete_role(name)
+    engine.generator.remove_role_rules(name)
+    engine.generator.remove_role_events(name)
+    return partners
+
+
+def _delete_inheritance(engine: ActiveRBACEngine, senior: str,
+                        junior: str) -> set[str]:
+    engine.model.delete_inheritance(senior, junior)
+    engine.revalidate_activations()
+    return {senior, junior}
+
+
+def _delete_dsd(engine: ActiveRBACEngine, name: str) -> set[str]:
+    roles = set(engine.model.sod.dsd_named(name).roles)
+    engine.model.delete_dsd_set(name)
+    return roles
+
+
+def _assign_scoped(engine: ActiveRBACEngine, user: str, role: str,
+                   scope: str) -> None:
+    """Bound UA(user, role) to ``scope`` (repeat to widen the bound).
+    Narrowing an unbounded assignment is refused: revoke-and-reassign
+    makes the intent explicit in the audit trail."""
+    model = engine.model
+    if scope not in model.scopes:
+        raise UnknownScopeError(scope)
+    if not model.is_assigned(user, role):
+        _ASSIGN(engine, user, role)
+    elif not model.assignment_scopes(user, role):
+        raise AdministrationError(
+            f"user {user!r} already holds role {role!r} unbounded; "
+            f"deassign before narrowing to scope {scope!r}")
+    model.limit_assignment_scope(user, role, scope)
+
+
+def _deassign_scoped(engine: ActiveRBACEngine, user: str, role: str,
+                     scope: str) -> None:
+    """Drop one scope bound; dropping the *last* deassigns the pair
+    through the administrative rule — a scoped assignment never
+    silently widens into an unbounded one (fail closed)."""
+    bounds = engine.model.assignment_scopes(user, role)
+    if scope not in bounds:
+        raise AdministrationError(
+            f"assignment ({user!r}, {role!r}) is not bounded to "
+            f"scope {scope!r}")
+    if len(bounds) == 1:
+        _DEASSIGN(engine, user, role)
+    else:
+        engine.model.remove_assignment_scope(user, role, scope)
+
+
+def _named(name: str, *_: Any) -> set[str]:
+    return {name}
+
+
+_GRANT = ("role", "operation", "object")
+
+#: op name -> (step, audit kind, audit keys naming the op's leading
+#: arguments); a None kind: the rule's own commit audits the op
+OPS = {
+    "add_user": (_model("add_user"), "admin.add_user", ("user",)),
+    "delete_user": (_delete_user, "admin.delete_user", ("user",)),
+    "set_user_max_roles": (_model("set_user_max_roles"),
+                           "admin.set_user_max_roles",
+                           ("user", "max_active_roles")),
+    "add_role": (_model("add_role", _named), "admin.add_role", ("role",)),
+    "delete_role": (_delete_role, "admin.delete_role", ("role",)),
+    "set_role_cardinality": (_model("set_role_cardinality", _named),
+                             "admin.set_role_cardinality",
+                             ("role", "max_active_users")),
+    "add_permission": (_model("add_permission"), "admin.add_permission",
+                       ("operation", "object")),
+    "grant": (_model("grant_permission"), "admin.grant", _GRANT),
+    "grant_scoped": (_model("grant_permission"), "admin.grant",
+                     (*_GRANT, "scope")),
+    "revoke": (_model("revoke_permission"), "admin.revoke", _GRANT),
+    "revoke_scoped": (_model("revoke_permission"), "admin.revoke",
+                      (*_GRANT, "scope")),
+    "add_inheritance": (_model("add_inheritance", lambda *edge: set(edge)),
+                        "admin.add_inheritance", ("senior", "junior")),
+    "delete_inheritance": (_delete_inheritance,
+                           "admin.delete_inheritance", ("senior", "junior")),
+    "create_ssd": (_model("create_ssd_set"), "admin.create_ssd", ("name",)),
+    "delete_ssd": (_model("delete_ssd_set"), "admin.delete_ssd", ("name",)),
+    "create_dsd": (_model("create_dsd_set", lambda _, roles, *__: set(roles)),
+                   "admin.create_dsd", ("name",)),
+    "delete_dsd": (_delete_dsd, "admin.delete_dsd", ("name",)),
+    "add_scope": (_model("add_scope"), "admin.add_scope",
+                  ("scope", "parent")),
+    "remove_scope": (_model("remove_scope"), "admin.remove_scope",
+                     ("scope",)),
+    "assign_user": (_ASSIGN, None, ()),
+    "assign_scoped": (_assign_scoped, "admin.assign_scope",
+                      ("user", "role", "scope")),
+    "deassign_user": (_DEASSIGN, None, ()),
+    "deassign_scoped": (_deassign_scoped, "admin.deassign_scope",
+                        ("user", "role", "scope")),
+}

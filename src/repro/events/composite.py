@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.clock import Timestamp
 from repro.events.calendar import CalendarExpression
 from repro.events.consumption import ConsumptionMode, InitiatorBuffer
 from repro.events.occurrence import Occurrence, compose, from_wire, to_wire
@@ -136,10 +135,6 @@ class OperatorNode(EventNode):
 
     def on_child(self, slot: int, occurrence: Occurrence) -> None:
         raise NotImplementedError
-
-    def _detection_stamp(self) -> Timestamp:
-        return self.detector.clock.stamp()
-
 
 class OrNode(OperatorNode):
     """OR(E1, E2, ...): fires on every occurrence of any child."""

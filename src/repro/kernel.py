@@ -551,10 +551,6 @@ class PolicyKernel:
 
     # -- static analysis / introspection -----------------------------------
 
-    def authorized_mask(self, role: str) -> int:
-        """Junior-closure bitset for ``role`` (reflexive)."""
-        return self.juniors_mask[self.role_ids[role]]
-
     def roles_in_mask(self, mask: int) -> list[str]:
         return [name for name, i in self.role_ids.items() if mask & (1 << i)]
 

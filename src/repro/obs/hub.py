@@ -473,22 +473,6 @@ class ObsHub:
 
     # -- summaries -----------------------------------------------------------
 
-    def rule_profile(self, top: int = 10) -> list[tuple[str, int, float]]:
-        """The ``top`` rules by total condition+action time:
-        ``(rule, firings, total_us)`` rows, hottest first."""
-        totals: dict[str, float] = {}
-        firings: dict[str, int] = {}
-        for hist, _part in ((self.condition_ns, "cond"),
-                            (self.action_ns, "act")):
-            for labels, series in hist.series():
-                rule = labels.get("rule", "?")
-                totals[rule] = totals.get(rule, 0.0) + series.sum
-                firings[rule] = max(firings.get(rule, 0), series.count)
-        rows = [(rule, firings.get(rule, 0), totals[rule] / 1000)
-                for rule in totals]
-        rows.sort(key=lambda row: -row[2])
-        return rows[:top]
-
     def rule_latency_profile(self, top: int = 10,
                              q: float = 0.99
                              ) -> list[tuple[str, int, float, float]]:

@@ -173,6 +173,68 @@ class PolicySpec:
         self.federation_maps.append((home_role, host_domain, host_role))
         return self
 
+    # -- administrative ops ------------------------------------------------------
+
+    def apply(self, op: tuple) -> None:
+        """Apply one administrative op ``(name, *args)``: the inverse
+        of :func:`~repro.config.differ.diff_specs`.  Unguarded (the
+        engine's ``apply`` checks the live model first); adds are
+        idempotent and removals tolerate absence.
+        """
+        _SPEC_OPS[op[0]](self, *op[1:])
+
+    def _delete_user(self, name: str) -> None:
+        self.users.pop(name, None)
+        self.assignments = [a for a in self.assignments if a[0] != name]
+        self.scoped_assignments = [
+            a for a in self.scoped_assignments if a[0] != name]
+
+    def _deassign(self, user: str, role: str) -> None:
+        _remover("assignments")(self, user, role)
+        self.scoped_assignments = [
+            a for a in self.scoped_assignments if a[:2] != (user, role)]
+
+    def _delete_role(self, name: str) -> None:
+        """Delete a role and scrub every constraint that mentions it;
+        a SoD set keeps its other roles while it still has enough."""
+        self.roles.pop(name, None)
+        self.hierarchy = [e for e in self.hierarchy if name not in e]
+        self.assignments = [a for a in self.assignments if a[1] != name]
+        self.grants = [g for g in self.grants if g[0] != name]
+        self.scoped_grants = [g for g in self.scoped_grants if g[0] != name]
+        self.scoped_assignments = [
+            a for a in self.scoped_assignments if a[1] != name]
+        self.federation_maps = [
+            m for m in self.federation_maps if m[0] != name]
+        self.prerequisites = [p for p in self.prerequisites
+                              if name not in (p.role, p.prerequisite)]
+        self.post_conditions = [
+            p for p in self.post_conditions
+            if name not in (p.trigger_role, p.required_role)]
+        self.transactions = [
+            t for t in self.transactions
+            if name not in (t.dependent_role, t.anchor_role)]
+        self.durations = [d for d in self.durations if d.role != name]
+        self.enabling_windows = [
+            w for w in self.enabling_windows if w.role != name]
+        self.context_constraints = [
+            c for c in self.context_constraints if c.role != name]
+        self.disabling_sod = [
+            c if name not in c.roles
+            else DisablingTimeSoD(c.name, c.roles - {name}, c.interval)
+            for c in self.disabling_sod
+            if name not in c.roles or len(c.roles) > 2]
+        for family in (self.ssd, self.dsd):
+            for key, sod in list(family.items()):
+                remaining = sod.roles - {name}
+                if remaining == sod.roles:
+                    continue
+                if len(remaining) >= sod.cardinality:
+                    family[key] = SodSetSpec(
+                        sod.name, remaining, sod.cardinality)
+                else:
+                    del family[key]
+
     # -- per-role derived properties (the Figure 1 node flags) --------------------
 
     def role_in_hierarchy(self, role: str) -> bool:
@@ -240,6 +302,60 @@ class PolicySpec:
             object_policies=list(self.object_policies),
             threshold_policies=list(self.threshold_policies),
         )
+
+
+def _adder(field: str):
+    """The spec side of an op whose arguments are one row of ``field``
+    to add (once)."""
+    def add(spec: PolicySpec, *row) -> None:
+        rows = getattr(spec, field)
+        if row not in rows:
+            rows.append(row)
+    return add
+
+
+def _remover(field: str):
+    """The spec side of an op whose arguments are one row of ``field``
+    to remove (if present)."""
+    def remove(spec: PolicySpec, *row) -> None:
+        rows = getattr(spec, field)
+        if row in rows:
+            rows.remove(row)
+    return remove
+
+
+#: set-valued row fields -> (add op, remove op): the differ emits these
+#: for the rows a new spec adds or drops
+ROW_OPS = {
+    "assignments": ("assign_user", "deassign_user"),
+    "scoped_assignments": ("assign_scoped", "deassign_scoped"),
+    "grants": ("grant", "revoke"),
+    "scoped_grants": ("grant_scoped", "revoke_scoped"),
+    "hierarchy": ("add_inheritance", "delete_inheritance"),
+}
+
+#: op name -> the spec side of the op (see :meth:`PolicySpec.apply`)
+_SPEC_OPS = {
+    **{add: _adder(field) for field, (add, _) in ROW_OPS.items()},
+    **{drop: _remover(field) for field, (_, drop) in ROW_OPS.items()},
+    # a flat deassign also drops the pair's scope bounds
+    "deassign_user": PolicySpec._deassign,
+    "add_user": PolicySpec.add_user,
+    "set_user_max_roles": PolicySpec.add_user,
+    "delete_user": PolicySpec._delete_user,
+    "add_role": PolicySpec.add_role,
+    "set_role_cardinality": PolicySpec.add_role,
+    "delete_role": PolicySpec._delete_role,
+    "add_permission": _adder("permissions"),
+    "create_ssd": PolicySpec.add_ssd,
+    "delete_ssd": lambda s, name: s.ssd.pop(name, None),
+    "create_dsd": PolicySpec.add_dsd,
+    "delete_dsd": lambda s, name: s.dsd.pop(name, None),
+    "add_scope": lambda s, name, parent=None: _adder("scopes")(
+        s, name, parent),
+    "remove_scope": lambda s, name: _remover("scopes")(
+        s, name, dict(s.scopes).get(name)),
+}
 
 
 def build_model(spec: PolicySpec) -> RBACModel:

@@ -177,6 +177,14 @@ class RBACModel:
         del self.roles[name]
         self._forget_name(name)
 
+    def set_user_max_roles(self, name: str,
+                           max_active_roles: int | None) -> None:
+        self._require_user(name).max_active_roles = max_active_roles
+
+    def set_role_cardinality(self, name: str,
+                             max_active_users: int | None) -> None:
+        self._require_role(name).max_active_users = max_active_users
+
     def add_operation(self, operation: str) -> None:
         self.operations.add(self._name(operation))
 
@@ -757,21 +765,6 @@ class RBACModel:
                 if permission in scoped.get(anchor, ()):
                     return True
         return False
-
-    def scoped_role_permissions(self, role: str,
-                                scope: str) -> set[Permission]:
-        """Permissions the role (with juniors) holds *specifically via
-        scoped grants* effective at ``scope`` — flat PA excluded."""
-        self._require_role(role)
-        ancestors = self.scopes.ancestors_inclusive(scope)
-        result: set[Permission] = set()
-        for member in self.hierarchy.juniors_inclusive(role):
-            scoped = self._pa_scoped.get(member)
-            if not scoped:
-                continue
-            for anchor in ancestors:
-                result |= scoped.get(anchor, set())
-        return result
 
     def session_can_perform(self, session_id: str, operation: str,
                             obj: str, scope: str | None = None) -> bool:

@@ -133,6 +133,11 @@ class ActiveSecurityMonitor:
     def add_policy(self, policy: ThresholdPolicy) -> None:
         self._policies.append(policy)
 
+    def set_policies(self, policies: list[ThresholdPolicy]) -> None:
+        """Replace every policy, dropping their sliding windows."""
+        self._policies = list(policies)
+        self._windows.clear()
+
     def policies(self) -> list[ThresholdPolicy]:
         return list(self._policies)
 

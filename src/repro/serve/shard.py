@@ -28,10 +28,10 @@ shard (:meth:`ShardRouter.resolve`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.clock import Deadline
-from repro.engine import ActiveRBACEngine
+from repro.engine import OPS, SCOPED, ActiveRBACEngine, with_scope
 from repro.errors import (
     AdministrationError,
     DeadlineExceeded,
@@ -42,34 +42,42 @@ from repro.errors import (
 from repro.federation import Federation, RoleMapping, guest_principal
 from repro.kernel import KERNEL_GRANT, PolicyKernel
 
-__all__ = ["Shard", "ShardRouter", "ADMIN_OPS", "LIFECYCLE_OPS"]
+__all__ = ["Shard", "ShardRouter", "ADMIN_OPS", "LIFECYCLE_OPS", "wire_op"]
 
 
 #: Control-plane operations the service front-end accepts over
-#: ``POST /v1/admin``.  Each applies through the engine's audited
-#: admin API; the shard republishes the kernel afterwards, so the
-#: mutation becomes one epoch swap from the readers' point of view.
-ADMIN_OPS: dict[str, Callable[[ActiveRBACEngine, dict[str, Any]], Any]] = {
-    "grant": lambda e, a: e.grant_permission(
-        a["role"], a["operation"], a["object"], scope=a.get("scope")),
-    "revoke": lambda e, a: e.revoke_permission(
-        a["role"], a["operation"], a["object"], scope=a.get("scope")),
-    "add_permission": lambda e, a: e.add_permission(
-        a["operation"], a["object"]),
-    "add_role": lambda e, a: e.add_role(a["role"]),
-    "add_scope": lambda e, a: e.add_scope(a["scope"], a.get("parent")),
-    "remove_scope": lambda e, a: e.remove_scope(a["scope"]),
-    "assign": lambda e, a: e.assign_user(
-        a["user"], a["role"], scope=a.get("scope")),
-    "deassign": lambda e, a: (
-        e.deassign_scope(a["user"], a["role"], a["scope"])
-        if a.get("scope") is not None
-        else e.deassign_user(a["user"], a["role"])),
-    "enable_role": lambda e, a: e.enable_role(a["role"]),
-    "disable_role": lambda e, a: e.disable_role(a["role"]),
-    "lock_user": lambda e, a: e.lock_user(a["user"]),
-    "unlock_user": lambda e, a: e.unlock_user(a["user"]),
+#: ``POST /v1/admin``: wire name -> (target, argument keys).  A target
+#: in :data:`repro.engine.OPS` is a policy edit; the rest are engine
+#: methods.  The shard republishes the kernel afterwards, so a
+#: mutation is one epoch swap from the readers' point of view.
+ADMIN_OPS: dict[str, tuple[str, ...]] = {
+    "grant": ("grant", "role", "operation", "object"),
+    "revoke": ("revoke", "role", "operation", "object"),
+    "add_permission": ("add_permission", "operation", "object"),
+    "add_role": ("add_role", "role"),
+    "add_scope": ("add_scope", "scope"),
+    "remove_scope": ("remove_scope", "scope"),
+    "assign": ("assign_user", "user", "role"),
+    "deassign": ("deassign_user", "user", "role"),
+    "enable_role": ("enable_role", "role"),
+    "disable_role": ("disable_role", "role"),
+    "lock_user": ("lock_user", "user"),
+    "unlock_user": ("unlock_user", "user"),
 }
+
+
+def wire_op(op: str, args: dict[str, Any]) -> tuple[Any, ...]:
+    """The op tuple one :data:`ADMIN_OPS` request applies: ``assign``
+    with a ``scope`` is ``("assign_scoped", user, role, scope)``, and
+    ``add_scope`` takes an optional ``parent``.  A missing argument
+    raises KeyError (the front end answers 400)."""
+    name, *keys = ADMIN_OPS[op]
+    values = [args[key] for key in keys]
+    if name == "add_scope":
+        return (name, *values, args.get("parent"))
+    if name in SCOPED:
+        return with_scope((name, *values), args.get("scope"))
+    return (name, *values)
 
 
 #: Policy-lifecycle operations (``repro/config/lifecycle.py``) the
@@ -136,28 +144,27 @@ class Shard:
             self.swaps += 1
         return kernel
 
-    def admin(self, fn: Callable[[ActiveRBACEngine], Any]) -> Any:
-        """Apply one control-plane mutation, then republish.
+    def admin_op(self, op: str, args: dict[str, Any]) -> dict[str, Any]:
+        """Apply a named :data:`ADMIN_OPS` mutation, then republish;
+        returns the swap summary the HTTP admin endpoint responds with.
 
         The mutation and the republish run back-to-back on the control
         plane; request handlers keep reading whichever kernel reference
         they already hold.
         """
-        try:
-            return fn(self.engine)
-        finally:
-            self.publish()
-
-    def admin_op(self, op: str, args: dict[str, Any]) -> dict[str, Any]:
-        """Apply a named :data:`ADMIN_OPS` mutation; returns the swap
-        summary the HTTP admin endpoint responds with."""
         if op in LIFECYCLE_OPS:
             return self.lifecycle_op(op, args)
-        apply = ADMIN_OPS.get(op)
-        if apply is None:
+        if op not in ADMIN_OPS:
             raise AdministrationError(f"unknown admin op {op!r}")
+        name, *values = change = wire_op(op, args)
         before = self.epoch
-        self.admin(lambda engine: apply(engine, args))
+        try:
+            if name in OPS:
+                self.engine.apply(change)
+            else:
+                getattr(self.engine, name)(*values)
+        finally:
+            self.publish()
         return {"op": op, "shard": self.name, "epoch": self.epoch,
                 "previous_epoch": before,
                 "swapped": self.epoch != before}

@@ -20,14 +20,15 @@ B2 and B9:
 
 :class:`PolicyEditor` is the administrator-facing API: each method is
 one high-level policy change (the day-doctor shift change is
-``set_enabling_window``), updating the spec/model and triggering
-incremental regeneration, and returning a :class:`RegenerationReport`.
+``set_enabling_window``), updating the spec/model, triggering
+incremental regeneration and bumping the policy epoch (WAL-logged),
+and returning a :class:`RegenerationReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.extensions.cfd import (
     PostConditionDependency,
@@ -198,68 +199,65 @@ def simulate_manual_edit(engine: "ActiveRBACEngine",
 class PolicyEditor:
     """High-level policy changes with automatic incremental regeneration.
 
-    Every method edits the engine's :class:`~repro.policy.spec.PolicySpec`
-    (and the model where the change has static state), then regenerates
-    the affected roles' rules, returning the report.
+    Static-policy changes (the cardinality setters) are ops of the
+    engine's one op table (:meth:`ActiveRBACEngine.apply
+    <repro.engine.ActiveRBACEngine.apply>`).  The descriptor edits
+    patch the engine's :class:`~repro.policy.spec.PolicySpec` lists,
+    regenerate the affected roles' rules and end in the same epoch/WAL
+    tail as an op, so every edit is durable.  Each returns the
+    regeneration report.
     """
 
     def __init__(self, engine: "ActiveRBACEngine") -> None:
         self.engine = engine
+
+    def _regenerate(self, roles: Iterable[str]) -> RegenerationReport:
+        report = regenerate_roles(self.engine, roles)
+        self.engine._note_policy_change()
+        return report
+
+    def _keep(self, attr: str, keep: Callable[[Any], bool]) -> list:
+        """Filter one descriptor list of the live policy; returns it."""
+        items = [item for item in getattr(self.engine.policy, attr)
+                 if keep(item)]
+        setattr(self.engine.policy, attr, items)
+        return items
 
     # -- temporal ------------------------------------------------------------
 
     def set_enabling_window(self, role: str, interval: PeriodicInterval
                             ) -> RegenerationReport:
         """Change a role's shift (the paper's day-doctor example)."""
-        policy = self.engine.policy
-        policy.enabling_windows = [
-            w for w in policy.enabling_windows if w.role != role
-        ]
-        policy.enabling_windows.append(EnablingWindow(role, interval))
-        return regenerate_roles(self.engine, {role})
+        self._keep("enabling_windows", lambda w: w.role != role).append(
+            EnablingWindow(role, interval))
+        return self._regenerate({role})
 
     def clear_enabling_window(self, role: str) -> RegenerationReport:
-        policy = self.engine.policy
-        policy.enabling_windows = [
-            w for w in policy.enabling_windows if w.role != role
-        ]
+        self._keep("enabling_windows", lambda w: w.role != role)
         self.engine.model.set_role_enabled(role, True)
-        return regenerate_roles(self.engine, {role})
+        return self._regenerate({role})
 
     def set_duration(self, role: str, delta: float,
                      user: str | None = None) -> RegenerationReport:
-        policy = self.engine.policy
-        policy.durations = [
-            d for d in policy.durations
-            if not (d.role == role and d.user == user)
-        ]
-        policy.durations.append(DurationConstraint(role, delta, user))
-        return regenerate_roles(self.engine, {role})
+        self._keep("durations", lambda d: (d.role, d.user) != (role, user)
+                   ).append(DurationConstraint(role, delta, user))
+        return self._regenerate({role})
 
     def clear_duration(self, role: str,
                        user: str | None = None) -> RegenerationReport:
-        policy = self.engine.policy
-        policy.durations = [
-            d for d in policy.durations
-            if not (d.role == role and d.user == user)
-        ]
-        return regenerate_roles(self.engine, {role})
+        self._keep("durations", lambda d: (d.role, d.user) != (role, user))
+        return self._regenerate({role})
 
     def add_disabling_sod(self, constraint: DisablingTimeSoD
                           ) -> RegenerationReport:
         self.engine.policy.disabling_sod.append(constraint)
-        return regenerate_roles(self.engine, set(constraint.roles))
+        return self._regenerate(set(constraint.roles))
 
     def remove_disabling_sod(self, name: str) -> RegenerationReport:
-        policy = self.engine.policy
-        doomed = [c for c in policy.disabling_sod if c.name == name]
-        policy.disabling_sod = [
-            c for c in policy.disabling_sod if c.name != name
-        ]
-        roles: set[str] = set()
-        for constraint in doomed:
-            roles |= constraint.roles
-        return regenerate_roles(self.engine, roles)
+        roles = set().union(*(c.roles for c in self.engine.policy
+                              .disabling_sod if c.name == name))
+        self._keep("disabling_sod", lambda c: c.name != name)
+        return self._regenerate(roles)
 
     # -- control-flow dependencies -----------------------------------------------
 
@@ -267,38 +265,34 @@ class PolicyEditor:
                          ) -> RegenerationReport:
         self.engine.policy.prerequisites.append(
             PrerequisiteRole(role, prerequisite))
-        return regenerate_roles(self.engine, {role})
+        return self._regenerate({role})
 
     def add_post_condition(self, trigger_role: str, required_role: str
                            ) -> RegenerationReport:
         self.engine.policy.post_conditions.append(
             PostConditionDependency(trigger_role, required_role))
-        return regenerate_roles(self.engine, {trigger_role, required_role})
+        return self._regenerate({trigger_role, required_role})
 
     def add_transaction(self, dependent_role: str, anchor_role: str
                         ) -> RegenerationReport:
         self.engine.policy.transactions.append(
             TransactionActivation(dependent_role, anchor_role))
-        return regenerate_roles(self.engine, {dependent_role, anchor_role})
+        return self._regenerate({dependent_role, anchor_role})
 
     # -- cardinality ----------------------------------------------------------------
 
     def set_role_cardinality(self, role: str, max_users: int | None
                              ) -> RegenerationReport:
-        policy = self.engine.policy
-        policy.add_role(role, max_users)
-        self.engine.model.roles[role].max_active_users = max_users
-        return regenerate_roles(self.engine, {role})
+        return self.engine.apply(("set_role_cardinality", role, max_users))
 
     def set_user_max_roles(self, user: str, max_roles: int | None) -> None:
         """Specialized per-user cardinality: evaluated through a model
         lookup in the CC rules, so no regeneration is needed."""
-        self.engine.policy.add_user(user, max_roles)
-        self.engine.model.users[user].max_active_roles = max_roles
+        self.engine.apply(("set_user_max_roles", user, max_roles))
 
     # -- context ---------------------------------------------------------------------
 
     def add_context_constraint(self, constraint: ContextConstraint
                                ) -> RegenerationReport:
         self.engine.policy.context_constraints.append(constraint)
-        return regenerate_roles(self.engine, {constraint.role})
+        return self._regenerate({constraint.role})

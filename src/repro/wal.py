@@ -415,17 +415,14 @@ def _apply(state: dict[str, Any], record: dict[str, Any]) -> None:
         state["locked_users"] = sorted(locked)
     elif op == "context.set":
         state.setdefault("context", {})[data["key"]] = data["value"]
-    elif op == "policy.epoch":
+    elif op in ("policy.epoch", "config.promote", "config.rollback"):
         # the record carries the full re-rendered policy: replay swaps
-        # the text the rule pool regenerates from, no diffing needed
+        # the text the rule pool regenerates from, no diffing needed;
+        # a lifecycle swap also names the config version now live
         state["policy"] = data["policy"]
         state["policy_epoch"] = int(data["epoch"])
-    elif op in ("config.promote", "config.rollback"):
-        # a lifecycle swap is a policy.epoch with a version id: fold
-        # the deployed policy text and remember which config is live
-        state["policy"] = data["policy"]
-        state["policy_epoch"] = int(data["epoch"])
-        state["config_version"] = int(data["version"])
+        if op != "policy.epoch":
+            state["config_version"] = int(data["version"])
     elif op in ("config.stage", "config.refuse", "decision.check"):
         # audit/journal records: no authority state to fold (staged
         # candidates never served; journaled decisions already

@@ -255,6 +255,31 @@ class TestTransitions:
         assert engine.policy_epoch > epoch_before
         assert engine._kernel.epoch == engine.policy_epoch
 
+    @pytest.mark.parametrize("op, edit, drift", [
+        ("set_user_max_roles", lambda s: s.add_user("alice", 2),
+         lambda e: e.delete_user("alice")),
+        ("set_role_cardinality", lambda s: s.add_role("doctor", 3),
+         lambda e: e.delete_role("doctor")),
+    ], ids=["set_user_max_roles", "set_role_cardinality"])
+    def test_cardinality_op_on_drifted_entity_skipped_without_trace(
+            self, engine, tmp_path, op, edit, drift):
+        from repro.policy.dsl import render_policy
+        lifecycle = PolicyLifecycle(
+            engine, state_dir=str(tmp_path),
+            budget=RolloutBudget(min_samples=1, hold_checks=50))
+        lifecycle.adopt(1)
+        candidate = base_spec()
+        edit(candidate)
+        lifecycle.stage(ConfigSet.from_spec(candidate, 2))
+        lifecycle.promote(force=True)
+        # live drift removes the entity the rollback's setter targets
+        drift(engine)
+        before = render_policy(engine.policy)
+        report = lifecycle.rollback("operator")
+        skipped = [row["op"] for row in report["apply"]["skipped"]]
+        assert op in skipped
+        assert render_policy(engine.policy) == before
+
     def test_rollback_without_promotion_refused(self, engine):
         lifecycle = PolicyLifecycle(engine)
         with pytest.raises(ConfigError, match="no promotion"):
