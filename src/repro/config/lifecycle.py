@@ -330,9 +330,7 @@ class PolicyLifecycle:
         self.active = config
         engine.config_version = config.version
         self._persist(config, "active")
-        wal = engine.wal
-        if wal is not None:
-            wal.log("config.promote", version=config.version,
+        engine._log("config.promote", version=config.version,
                     epoch=engine.policy_epoch, policy=config.source,
                     checksum=config.checksum, reason="adopt")
         engine.audit.record("config.adopt", version=config.version,
@@ -378,9 +376,7 @@ class PolicyLifecycle:
         self.armed = True
         self._pending_failure = None
         self._persist(config, "staged")
-        wal = engine.wal
-        if wal is not None:
-            wal.log("config.stage", version=config.version,
+        engine._log("config.stage", version=config.version,
                     checksum=config.checksum, diff=self._stage_diff)
         engine.audit.record("config.stage", version=config.version,
                             checksum=config.checksum,
@@ -482,9 +478,7 @@ class PolicyLifecycle:
         engine = self.engine
         config = self.candidate
         canary = self.comparator.stats() if self.comparator else None
-        wal = engine.wal
-        if wal is not None:
-            wal.log("config.refuse", version=config.version,
+        engine._log("config.refuse", version=config.version,
                     checksum=config.checksum, reason=reason)
         engine.audit.record("config.refuse", version=config.version,
                             reason=reason)

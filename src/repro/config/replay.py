@@ -7,11 +7,11 @@ locks, clock) and the *decision stream* interleaved in commit order.
 Replay rebuilds a fresh engine from a chosen
 :class:`~repro.config.configset.ConfigSet` and walks the log once:
 
-* mutation records are **folded as facts** through the model's
-  record-level methods (no events fire, no rules run — the same
-  never-re-fire discipline as :func:`repro.wal.recover`), so the
-  session state at each decision point is exactly what the live run
-  had committed;
+* session-level records are **folded as facts** through
+  :func:`repro.wal.fold`, the one reader that restore and recovery use
+  too (no events fire, no rules run), so the session state at each
+  decision point is exactly what the live run had committed; a record
+  naming a user, role or session this config lacks is a gap;
 * policy-swap records (``policy.epoch``, ``config.promote``,
   ``config.rollback``) are *skipped* — the whole stream is re-decided
   under the pinned config, which is the point: "what would this
@@ -36,20 +36,9 @@ from typing import Any
 from repro.clock import VirtualClock
 from repro.config.configset import ConfigSet
 from repro.config.loader import ConfigError
+from repro.wal import SESSION_OPS, SWAP_OPS, WAL_FILE, fold, read_wal
 
 __all__ = ["ReplayResult", "diff_streams", "replay_wal"]
-
-#: records replay folds as facts (everything else is either a policy
-#: swap — skipped under a pinned config — or a decision to re-run)
-_FOLD_OPS = frozenset({
-    "session.create", "session.delete",
-    "activation.add", "activation.drop",
-    "role.status", "user.lock", "user.unlock",
-    "context.set", "clock.advance",
-})
-
-_SWAP_OPS = frozenset({"policy.epoch", "config.promote",
-                       "config.rollback"})
 
 
 @dataclass
@@ -90,53 +79,6 @@ class ReplayResult:
         }
 
 
-def _resolve_wal(path: str) -> str:
-    from repro.wal import WAL_FILE
-    if os.path.isdir(path):
-        return os.path.join(path, WAL_FILE)
-    return path
-
-
-def _fold(engine: Any, op: str, data: dict[str, Any]) -> str | None:
-    """Fold one mutation record as a fact; returns a gap reason or
-    None.  Record-level model methods are event-silent, so folding can
-    never fire a rule or cascade."""
-    model = engine.model
-    if op == "session.create":
-        if data["user"] not in model.users:
-            return f"unknown user {data['user']!r} under this config"
-        if data["id"] not in model.sessions:
-            model.create_session_record(data["id"], data["user"])
-    elif op == "session.delete":
-        if data["id"] in model.sessions:
-            model.delete_session_record(data["id"])
-    elif op == "activation.add":
-        if data["session"] not in model.sessions:
-            return f"activation for unknown session {data['session']!r}"
-        if data["role"] not in model.roles:
-            return f"unknown role {data['role']!r} under this config"
-        model.add_session_role_record(data["session"], data["role"])
-    elif op == "activation.drop":
-        if (data["session"] in model.sessions
-                and data["role"] in model.roles):
-            model.drop_session_role_record(data["session"], data["role"])
-    elif op == "role.status":
-        if data["role"] not in model.roles:
-            return f"status for unknown role {data['role']!r}"
-        model.set_role_enabled(data["role"], bool(data["enabled"]))
-    elif op == "user.lock":
-        engine.locked_users.add(data["user"])
-    elif op == "user.unlock":
-        engine.locked_users.discard(data["user"])
-    elif op == "context.set":
-        # ContextProvider.set stores silently (no event), so folding
-        # context history is safe during replay
-        engine.context.set(data["key"], data["value"])
-    elif op == "clock.advance":
-        engine.clock.advance_to(float(data["to"]))
-    return None
-
-
 def replay_wal(path: str, config: ConfigSet) -> ReplayResult:
     """Re-run a WAL's decision stream under ``config``.
 
@@ -144,9 +86,8 @@ def replay_wal(path: str, config: ConfigSet) -> ReplayResult:
     with torn-tail repair (read-only: the file is never rewritten).
     """
     from repro.engine import ActiveRBACEngine
-    from repro.wal import read_wal
 
-    wal_path = _resolve_wal(path)
+    wal_path = os.path.join(path, WAL_FILE) if os.path.isdir(path) else path
     if not os.path.exists(wal_path):
         raise ConfigError(f"no WAL at {wal_path!r}")
     records, report = read_wal(wal_path, repair=False)
@@ -160,17 +101,16 @@ def replay_wal(path: str, config: ConfigSet) -> ReplayResult:
 
     for record in records:
         op = record["op"]
-        data = record.get("data", {})
         lsn = record["lsn"]
         # virtual time moves with the log so temporal reads (context
         # windows folded via role.status, explain-time clock) line up
         engine.clock.advance_to(float(record.get("t", 0.0)))
-        if op in _SWAP_OPS:
+        if op in SWAP_OPS:
             result.pinned_swaps += 1
             continue
-        if op in _FOLD_OPS:
+        if op in SESSION_OPS:
             try:
-                gap = _fold(engine, op, data)
+                gap = fold(engine, record)
             except Exception as exc:  # noqa: BLE001 - gap, not crash
                 gap = f"fold error: {exc}"
             if gap is not None:
@@ -178,6 +118,7 @@ def replay_wal(path: str, config: ConfigSet) -> ReplayResult:
             continue
         if op != "decision.check":
             continue  # audit-only records (config.stage/refuse, ...)
+        data = record.get("data", {})
         session = data.get("session")
         operation = data.get("operation")
         obj = data.get("object")

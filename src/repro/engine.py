@@ -83,6 +83,10 @@ class MonotonicSequence:
         """The next id that will be allocated (not consumed)."""
         return self._next
 
+    def resume(self, start: int) -> None:
+        """Resume past a recorded high-water mark (never backwards)."""
+        self._next = max(self._next, int(start))
+
 
 class ActiveRBACEngine(EnforcementHelpers):
     """RBAC enforcement through generated active authorization rules."""
@@ -221,12 +225,10 @@ class ActiveRBACEngine(EnforcementHelpers):
         """
         self.obs.clock_advanced()
         fired = self.timers.advance(seconds)
-        wal = self.wal
-        if wal is not None:
-            # logged *after* the timers ran: replay folds the target
-            # time into the snapshot clock, and restore re-arms (or
-            # immediately expires) whatever the timers owed
-            wal.log("clock.advance", to=self.clock.now)
+        # logged *after* the timers ran: recovery folds the target time
+        # into the clock, and restore re-arms (or immediately expires)
+        # whatever the timers owed
+        self._log("clock.advance", to=self.clock.now)
         return fired
 
     # ======================================================================
@@ -242,9 +244,11 @@ class ActiveRBACEngine(EnforcementHelpers):
         writes the model.  One tail follows: the same op applied to
         ``self.policy`` (:meth:`PolicySpec.apply`), rule regeneration,
         the audit record, and the epoch bump with its WAL record.  A
-        raising op writes nothing.  Returns the regeneration report,
-        if any.  ``batch=True`` (a config swap) leaves regeneration
-        and the WAL record to the caller, once for the whole batch.
+        raising op writes nothing; an op that leaves the policy as it
+        was skips the tail after ``PolicySpec.apply``.  Returns the
+        regeneration report, if any.  ``batch=True`` (a config swap)
+        leaves regeneration and the WAL record to the caller, once for
+        the whole batch.
         """
         name, args = op[0], op[1:]
         try:
@@ -255,7 +259,8 @@ class ActiveRBACEngine(EnforcementHelpers):
             raise AdministrationError(
                 f"{name}: the root scope is the flat op; omit the scope")
         roles = step(self, *args)
-        self.policy.apply(op)
+        if not self.policy.apply(op):
+            return None
         report = self._regenerate(roles) if roles and not batch else None
         if kind is not None:
             self.audit.record(kind, **dict(zip(keys, args)))
@@ -862,14 +867,18 @@ class ActiveRBACEngine(EnforcementHelpers):
                          operation=operation, object=obj, scope=scope)
         raise OperationDenied("Permission Denied", rule=rule)
 
+    def _log(self, op: str, **data: Any) -> None:
+        """Append one WAL record when a log is attached."""
+        wal = self.wal
+        if wal is not None:
+            wal.log(op, **data)
+
     def commit_session(self, session_id: str, user: str) -> None:
         self.model.create_session_record(session_id, user)
         self.obs.session_changed("create")
         self.audit.record("session.create", session=session_id, user=user)
-        wal = self.wal
-        if wal is not None:
-            wal.log("session.create", id=session_id, user=user,
-                    seq=self._session_seq.peek)
+        self._log("session.create", id=session_id, user=user,
+                  seq=self._session_seq.peek)
 
     def commit_session_delete(self, session_id: str) -> None:
         session = self.model.sessions.get(session_id)
@@ -881,9 +890,7 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.model.delete_session_record(session_id)
         self.obs.session_changed("delete")
         self.audit.record("session.delete", session=session_id)
-        wal = self.wal
-        if wal is not None:
-            wal.log("session.delete", id=session_id)
+        self._log("session.delete", id=session_id)
 
     def commit_activation(self, session_id: str, role: str,
                           activation_id: int) -> None:
@@ -892,11 +899,9 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.activation_started[(session_id, role)] = self.clock.now
         self.obs.activation_changed("add")
         self.audit.record("activation.add", session=session_id, role=role)
-        wal = self.wal
-        if wal is not None:
-            wal.log("activation.add", session=session_id, role=role,
-                    activation_id=activation_id, started=self.clock.now,
-                    seq=self._activation_seq.peek)
+        self._log("activation.add", session=session_id, role=role,
+                  activation_id=activation_id, started=self.clock.now,
+                  seq=self._activation_seq.peek)
 
     def commit_deactivation(self, session_id: str, role: str) -> None:
         user = self.model.session_user(session_id)
@@ -905,9 +910,7 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.activation_started.pop((session_id, role), None)
         self.obs.activation_changed("drop")
         self.audit.record("activation.drop", session=session_id, role=role)
-        wal = self.wal
-        if wal is not None:
-            wal.log("activation.drop", session=session_id, role=role)
+        self._log("activation.drop", session=session_id, role=role)
         self.detector.raise_event(
             f"roleDeactivated.{role}", sessionId=session_id, role=role,
             user=user,
@@ -938,9 +941,7 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.model.set_role_enabled(role, enabled)
         self.audit.record("role.enable" if enabled else "role.disable",
                           role=role)
-        wal = self.wal
-        if wal is not None:
-            wal.log("role.status", role=role, enabled=enabled)
+        self._log("role.status", role=role, enabled=enabled)
 
     # ======================================================================
     # active-security reactions
@@ -965,18 +966,14 @@ class ActiveRBACEngine(EnforcementHelpers):
                 if user in self.model.users else []:
             self.commit_session_delete(session_id)
         self.audit.record("security.lock_user", user=user)
-        wal = self.wal
-        if wal is not None:
-            wal.log("user.lock", user=user)
+        self._log("user.lock", user=user)
         # a lockout is a health-degradation event: preserve the run-up
         self.dump_flight(f"security.lockout.{user}")
 
     def unlock_user(self, user: str) -> None:
         self.locked_users.discard(user)
         self.audit.record("security.unlock_user", user=user)
-        wal = self.wal
-        if wal is not None:
-            wal.log("user.unlock", user=user)
+        self._log("user.unlock", user=user)
 
     # ======================================================================
     # internals
@@ -1132,9 +1129,17 @@ _ASSIGN = _rule("assignUser")
 _DEASSIGN = _rule("deassignUser")
 
 
+# Deleting a user or role first tears its live state (sessions,
+# activations, a lock, a disabled status) down through the commit
+# helpers, so audit, the WAL and anchor cleanup all see it.
+
+
 def _delete_user(engine: ActiveRBACEngine, name: str) -> None:
+    for session_id in engine.model.user_sessions(name):
+        engine.commit_session_delete(session_id)
+    if name in engine.locked_users:
+        engine.unlock_user(name)
     engine.model.delete_user(name)
-    engine.locked_users.discard(name)
 
 
 def _delete_role(engine: ActiveRBACEngine, name: str) -> set[str]:
@@ -1143,6 +1148,9 @@ def _delete_role(engine: ActiveRBACEngine, name: str) -> set[str]:
     the partners regenerate from the scrubbed policy, or they would
     silently lose their DR/ER/AAR rule."""
     from repro.synthesis.regenerate import affected_roles
+    if not engine.model.is_role_enabled(name):
+        engine.commit_role_enabled(name, True)
+    engine.force_deactivate_role(name)
     partners = affected_roles(engine, {name}) - {name}
     engine.model.delete_role(name)
     engine.generator.remove_role_rules(name)

@@ -20,10 +20,12 @@ engine needs in a JSON-serialisable dict:
 
 :func:`restore` rebuilds a fresh :class:`~repro.engine.ActiveRBACEngine`
 from the snapshot: the rule pool is *regenerated* from the policy (not
-serialised — rules are code), sessions are re-created, and activation
-duration countdowns are **re-armed with their remaining time**; a
-countdown that expired while the engine was down deactivates the role
-immediately on restore.
+serialised — rules are code); role status, locks, context, sessions
+and activations are applied as records through
+:func:`repro.wal.fold` (the one reader of session facts, so a WAL tail
+passed along folds the same way); then activation duration countdowns
+are **re-armed with their remaining time**; a countdown that expired
+while the engine was down deactivates the role immediately on restore.
 
 What is deliberately *not* restored:
 
@@ -36,8 +38,8 @@ What is deliberately *not* restored:
   the rebuilt engine recompiles lazily on its first check (or eagerly
   in :func:`repro.wal.recover`).
 
-Sessions/activations that reference users or roles removed from the
-policy since the snapshot are *dropped*, but never silently: each drop
+Sessions/activations still live at the end that reference users or
+roles the policy lacks are *dropped*, but never silently: each drop
 is recorded in the audit log and counted in the ``admin.restore``
 record, so an operator can tell recovery lost state on purpose.
 """
@@ -46,7 +48,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable, Iterator
 
 from repro.clock import VirtualClock
 from repro.containment import fsync_dir, fsync_file, retry_transient
@@ -113,8 +116,17 @@ def dumps(engine: ActiveRBACEngine, **json_kwargs: Any) -> str:
     return json.dumps(snapshot(engine), **json_kwargs)
 
 
-def restore(data: dict[str, Any]) -> ActiveRBACEngine:
-    """Rebuild an engine from a :func:`snapshot` dict."""
+def restore(data: dict[str, Any],
+            records: Iterable[dict[str, Any]] = ()) -> ActiveRBACEngine:
+    """Rebuild an engine from a :func:`snapshot` dict, then apply
+    ``records`` (the WAL tail :func:`repro.wal.recover` read past the
+    snapshot).
+
+    The snapshot's session state and the records go through the one
+    fold, :func:`repro.wal.fold`; duration countdowns re-arm once, at
+    the final clock.
+    """
+    from repro.wal import fold
     version = data.get("version")
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(
@@ -126,55 +138,28 @@ def restore(data: dict[str, Any]) -> ActiveRBACEngine:
     engine = ActiveRBACEngine(policy, clock=clock)
 
     # counters resume past the snapshot's high-water marks
-    from repro.engine import MonotonicSequence
     counters = data.get("counters", {})
-    engine._session_seq = MonotonicSequence(
-        int(counters.get("session_seq", 1)))
-    engine._activation_seq = MonotonicSequence(
-        int(counters.get("activation_seq", 1)))
+    engine._session_seq.resume(counters.get("session_seq", 1))
+    engine._activation_seq.resume(counters.get("activation_seq", 1))
     engine.policy_epoch = int(data.get("policy_epoch", 0))
     raw_version = data.get("config_version")
     engine.config_version = (None if raw_version is None
                              else int(raw_version))
 
-    # role status: snapshot values override the windows' initial guess
-    for name, enabled in data.get("role_enabled", {}).items():
-        if name in engine.model.roles:
-            engine.model.roles[name].enabled = bool(enabled)
-
-    engine.locked_users = set(data.get("locked_users", ()))
-    for key, value in data.get("context", {}).items():
-        engine.context.set(key, value)
+    lost: dict[tuple[str, ...], dict[str, Any]] = {}
+    for record in chain(_snapshot_records(data), records):
+        fold(engine, record, lost)
+    # a session or activation the final policy cannot hold is dropped,
+    # but never silently
+    for key, detail in lost.items():
+        engine.audit.record("restore.drop_session" if len(key) == 1
+                            else "restore.drop_activation", **detail)
+    dropped_sessions = sum(len(key) == 1 for key in lost)
+    sessions = len(engine.model.sessions) + dropped_sessions
 
     now = engine.clock.now
-    dropped_sessions = 0
-    dropped_activations = 0
-    for session in data.get("sessions", ()):
-        session_id = session["id"]
-        user = session["user"]
-        if user not in engine.model.users:
-            # user removed from the policy since the snapshot: the
-            # session cannot be rebuilt, but the loss is audited
-            dropped_sessions += 1
-            engine.audit.record("restore.drop_session",
-                                session=session_id, user=user,
-                                reason="unknown user")
-            continue
-        engine.model.create_session_record(session_id, user)
-        for role, info in session["activations"].items():
-            if role not in engine.model.roles:
-                dropped_activations += 1
-                engine.audit.record("restore.drop_activation",
-                                    session=session_id, role=role,
-                                    reason="unknown role")
-                continue
-            activation_id = int(info["activation_id"])
-            started = float(info["started"])
-            engine.model.add_session_role_record(session_id, role)
-            engine.current_activation[(session_id, role)] = activation_id
-            engine.activation_started[(session_id, role)] = started
-            _rearm_duration(engine, session_id, user, role,
-                            activation_id, started, now)
+    for key, activation_id in list(engine.current_activation.items()):
+        _rearm_duration(engine, key, activation_id, now)
 
     # v2 extras: in-flight partial detections and breaker state
     detector_state = data.get("detector")
@@ -184,12 +169,30 @@ def restore(data: dict[str, Any]) -> ActiveRBACEngine:
     if rules_state:
         engine.rules.state_restore(rules_state)
 
-    engine.audit.record("admin.restore",
-                        sessions=len(data.get("sessions", ())),
+    engine.audit.record("admin.restore", sessions=sessions,
                         dropped_sessions=dropped_sessions,
-                        dropped_activations=dropped_activations,
+                        dropped_activations=len(lost) - dropped_sessions,
                         clock=now)
     return engine
+
+
+def _snapshot_records(data: dict[str, Any]) -> Iterator[dict[str, Any]]:
+    """The snapshot's session state as the records that rebuild it:
+    role status (overriding the windows' initial guess), locks and
+    context first, then each session with its activations."""
+    for name, enabled in data.get("role_enabled", {}).items():
+        yield {"op": "role.status",
+               "data": {"role": name, "enabled": enabled}}
+    for user in data.get("locked_users", ()):
+        yield {"op": "user.lock", "data": {"user": user}}
+    for key, value in data.get("context", {}).items():
+        yield {"op": "context.set", "data": {"key": key, "value": value}}
+    for session in data.get("sessions", ()):
+        yield {"op": "session.create",
+               "data": {"id": session["id"], "user": session["user"]}}
+        for role, info in session["activations"].items():
+            yield {"op": "activation.add",
+                   "data": {"session": session["id"], "role": role, **info}}
 
 
 def loads(text: str) -> ActiveRBACEngine:
@@ -247,30 +250,30 @@ def load(path: str) -> ActiveRBACEngine:
         return loads(handle.read())
 
 
-def _rearm_duration(engine: ActiveRBACEngine, session_id: str, user: str,
-                    role: str, activation_id: int, started: float,
-                    now: float) -> None:
-    """Re-arm a duration countdown with its remaining time.
+def _rearm_duration(engine: ActiveRBACEngine, key: tuple[str, str],
+                    activation_id: int, now: float) -> None:
+    """Re-arm the duration countdown of the activation ``key`` with its
+    remaining time.
 
     The original countdown was a PLUS event armed at activation; after a
     restore only the remainder is owed.  A countdown that already
     expired while the engine was down deactivates immediately.
     """
-    delta = engine.duration_for(role, user)
-    if delta is None:
-        return
-    remaining = (started + delta) - now
+    session_id, role = key
 
     def expire() -> None:
-        key = (session_id, role)
-        if engine.current_activation.get(key) != activation_id:
-            return
-        if session_id not in engine.model.sessions:
-            return
-        engine.audit.record("temporal.duration_expired", role=role,
-                            session=session_id)
-        engine.commit_deactivation(session_id, role)
+        if (engine.current_activation.get(key) == activation_id
+                and session_id in engine.model.sessions):
+            engine.audit.record("temporal.duration_expired", role=role,
+                                session=session_id)
+            engine.commit_deactivation(session_id, role)
 
+    if engine.current_activation.get(key) != activation_id:
+        return  # an earlier expiry's cascade already ended it
+    delta = engine.duration_for(role, engine.model.session_user(session_id))
+    if delta is None:
+        return
+    remaining = engine.activation_started[key] + delta - now
     if remaining <= 0:
         expire()
     else:

@@ -179,25 +179,26 @@ class PolicySpec:
         """Apply one administrative op ``(name, *args)``: the inverse
         of :func:`~repro.config.differ.diff_specs`.  Unguarded (the
         engine's ``apply`` checks the live model first); adds are
-        idempotent and removals tolerate absence.
+        idempotent and removals tolerate absence.  Returns whether the
+        spec changed.
         """
-        _SPEC_OPS[op[0]](self, *op[1:])
+        return _SPEC_OPS[op[0]](self, *op[1:])
 
-    def _delete_user(self, name: str) -> None:
-        self.users.pop(name, None)
+    def _delete_user(self, name: str) -> bool:
         self.assignments = [a for a in self.assignments if a[0] != name]
         self.scoped_assignments = [
             a for a in self.scoped_assignments if a[0] != name]
+        return self.users.pop(name, None) is not None
 
-    def _deassign(self, user: str, role: str) -> None:
-        _remover("assignments")(self, user, role)
-        self.scoped_assignments = [
-            a for a in self.scoped_assignments if a[:2] != (user, role)]
+    def _deassign(self, user: str, role: str) -> bool:
+        kept = [a for a in self.scoped_assignments if a[:2] != (user, role)]
+        bounded = len(kept) < len(self.scoped_assignments)
+        self.scoped_assignments = kept
+        return _remover("assignments")(self, user, role) or bounded
 
-    def _delete_role(self, name: str) -> None:
+    def _delete_role(self, name: str) -> bool:
         """Delete a role and scrub every constraint that mentions it;
         a SoD set keeps its other roles while it still has enough."""
-        self.roles.pop(name, None)
         self.hierarchy = [e for e in self.hierarchy if name not in e]
         self.assignments = [a for a in self.assignments if a[1] != name]
         self.grants = [g for g in self.grants if g[0] != name]
@@ -234,6 +235,7 @@ class PolicySpec:
                         sod.name, remaining, sod.cardinality)
                 else:
                     del family[key]
+        return self.roles.pop(name, None) is not None
 
     # -- per-role derived properties (the Figure 1 node flags) --------------------
 
@@ -307,21 +309,35 @@ class PolicySpec:
 def _adder(field: str):
     """The spec side of an op whose arguments are one row of ``field``
     to add (once)."""
-    def add(spec: PolicySpec, *row) -> None:
+    def add(spec: PolicySpec, *row) -> bool:
         rows = getattr(spec, field)
-        if row not in rows:
+        new = row not in rows
+        if new:
             rows.append(row)
+        return new
     return add
 
 
 def _remover(field: str):
     """The spec side of an op whose arguments are one row of ``field``
     to remove (if present)."""
-    def remove(spec: PolicySpec, *row) -> None:
+    def remove(spec: PolicySpec, *row) -> bool:
         rows = getattr(spec, field)
-        if row in rows:
+        held = row in rows
+        if held:
             rows.remove(row)
+        return held
     return remove
+
+
+def _setter(field: str, add):
+    """The spec side of an op that (re)declares one entry of the
+    mapping ``field`` through the builder ``add``."""
+    def put(spec: PolicySpec, name: str, *args) -> bool:
+        old = getattr(spec, field).get(name)
+        add(spec, name, *args)
+        return getattr(spec, field)[name] != old
+    return put
 
 
 #: set-valued row fields -> (add op, remove op): the differ emits these
@@ -340,17 +356,17 @@ _SPEC_OPS = {
     **{drop: _remover(field) for field, (_, drop) in ROW_OPS.items()},
     # a flat deassign also drops the pair's scope bounds
     "deassign_user": PolicySpec._deassign,
-    "add_user": PolicySpec.add_user,
-    "set_user_max_roles": PolicySpec.add_user,
+    "add_user": _setter("users", PolicySpec.add_user),
+    "set_user_max_roles": _setter("users", PolicySpec.add_user),
     "delete_user": PolicySpec._delete_user,
-    "add_role": PolicySpec.add_role,
-    "set_role_cardinality": PolicySpec.add_role,
+    "add_role": _setter("roles", PolicySpec.add_role),
+    "set_role_cardinality": _setter("roles", PolicySpec.add_role),
     "delete_role": PolicySpec._delete_role,
     "add_permission": _adder("permissions"),
-    "create_ssd": PolicySpec.add_ssd,
-    "delete_ssd": lambda s, name: s.ssd.pop(name, None),
-    "create_dsd": PolicySpec.add_dsd,
-    "delete_dsd": lambda s, name: s.dsd.pop(name, None),
+    "create_ssd": _setter("ssd", PolicySpec.add_ssd),
+    "delete_ssd": lambda s, name: s.ssd.pop(name, None) is not None,
+    "create_dsd": _setter("dsd", PolicySpec.add_dsd),
+    "delete_dsd": lambda s, name: s.dsd.pop(name, None) is not None,
     "add_scope": lambda s, name, parent=None: _adder("scopes")(
         s, name, parent),
     "remove_scope": lambda s, name: _remover("scopes")(

@@ -13,9 +13,12 @@ is lost.  This module closes that window with a classic WAL design:
   replayed;
 * fsyncs are batched (group commit): ``batch_size`` appends share one
   fsync, trading a bounded tail-loss window for throughput;
-* recovery = newest valid snapshot + replay of every record with an
-  LSN past the snapshot's high-water mark, *folded into the snapshot
-  dict* and restored once — replay never re-fires rules;
+* recovery = newest valid snapshot + every record with an LSN past
+  the snapshot's high-water mark: policy swaps and rule-breaker
+  records pick the engine that is restored once, and every
+  session-level record goes through :func:`fold`, the one reader of
+  session facts (restore and replay use it too) — it writes facts,
+  never events, so replay never re-fires rules;
 * checkpointing writes a fresh snapshot (stamped with the WAL's last
   LSN) and rotates the log.  A crash between the two leaves stale
   records whose LSNs the snapshot already covers; recovery skips them.
@@ -38,19 +41,24 @@ from repro.containment import fsync_dir, fsync_file
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.log"
 
-#: ops :func:`_apply` understands; unknown ops fail recovery loudly
-#: rather than silently dropping a mutation class
-KNOWN_OPS = frozenset({
+#: session-level facts: :func:`fold` applies them to an engine
+SESSION_OPS = frozenset({
     "session.create", "session.delete",
     "activation.add", "activation.drop",
     "role.status", "user.lock", "user.unlock",
-    "context.set", "policy.epoch",
-    "rule.quarantine", "rule.rearm", "clock.advance",
-    # policy lifecycle (repro/config/): stage/refuse are audit-only
-    # markers; promote/rollback swap the folded policy like
-    # policy.epoch and pin the config version the swap deployed
-    "config.stage", "config.promote", "config.rollback",
-    "config.refuse",
+    "context.set", "clock.advance",
+})
+
+#: policy swaps: each carries the full re-rendered policy; a lifecycle
+#: swap (promote/rollback) also pins the config version it deployed
+SWAP_OPS = frozenset({"policy.epoch", "config.promote", "config.rollback"})
+
+#: every op recovery understands; unknown ops fail recovery loudly
+#: rather than silently dropping a mutation class
+KNOWN_OPS = SESSION_OPS | SWAP_OPS | frozenset({
+    "rule.quarantine", "rule.rearm",
+    # policy lifecycle (repro/config/): audit-only markers
+    "config.stage", "config.refuse",
     # opt-in decision journal (engine.decision_journal): not state —
     # recovery skips it, replay (repro/config/replay.py) re-runs it
     "decision.check",
@@ -299,18 +307,21 @@ class Durability:
 
 
 # ==========================================================================
-# recovery: snapshot + WAL replay (fold, then restore once)
+# recovery: swaps and breaker state pick the engine, one fold applies facts
 # ==========================================================================
 
 
 def recover(directory: str) -> tuple[Any, dict[str, Any]]:
     """Rebuild an engine from a :class:`Durability` directory.
 
-    Loads the newest valid snapshot, repairs/reads the WAL, folds every
-    record with ``lsn > snapshot.wal.lsn`` into the snapshot *dict*,
-    and calls :func:`repro.persistence.restore` once on the result.
-    Folding (rather than re-driving a live engine) means replay can
-    never re-fire rules, re-deny, or cascade.
+    Loads the newest valid snapshot and repairs/reads the WAL.  The
+    tail (records with ``lsn > snapshot.wal.lsn``) is read twice: its
+    clock, policy swaps and rule-breaker records fold into the
+    snapshot dict, since they decide which engine
+    :func:`repro.persistence.restore` builds (a quarantine takes effect
+    once, through ``RuleManager.state_restore``); restore then applies
+    its session-level records through :func:`fold`.  Folding facts
+    means replay can never re-fire rules, re-deny, or cascade.
 
     Returns ``(engine, report)``; the engine has **no** Durability
     attached — call ``Durability(engine, directory)`` to resume
@@ -326,16 +337,11 @@ def recover(directory: str) -> tuple[Any, dict[str, Any]]:
 
     records, wal_report = read_wal(
         os.path.join(directory, WAL_FILE), repair=True)
-    replayed = 0
-    skipped = 0
-    for record in records:
-        if record["lsn"] <= snapshot_lsn:
-            skipped += 1
-            continue
-        _apply(state, record)
-        replayed += 1
+    tail = [record for record in records if record["lsn"] > snapshot_lsn]
+    for record in tail:
+        _fold_snapshot(state, record)
 
-    engine = persistence.restore(state)
+    engine = persistence.restore(state, tail)
     # the decision plane is never persisted (compiled state, not
     # authority state): recompile from the restored policy so the first
     # post-recovery check does not pay the build, and surface the cost
@@ -345,8 +351,8 @@ def recover(directory: str) -> tuple[Any, dict[str, Any]]:
     report = {
         "snapshot_lsn": snapshot_lsn,
         "records": len(records),
-        "replayed": replayed,
-        "skipped": skipped,
+        "replayed": len(tail),
+        "skipped": len(records) - len(tail),
         "torn": wal_report["torn"],
         "dropped_bytes": wal_report["dropped_bytes"],
         "clock": engine.clock.now,
@@ -355,7 +361,7 @@ def recover(directory: str) -> tuple[Any, dict[str, Any]]:
     }
     obs = engine.obs
     if obs is not None and obs.enabled:
-        obs.wal_recovered(replayed, torn=wal_report["torn"])
+        obs.wal_recovered(len(tail), torn=wal_report["torn"])
     engine.audit.record("wal.recover", **report)
     # forensics: leave a flight-recorder dump next to the state it was
     # recovered from (the ring holds only the recovery-time view, but
@@ -365,69 +371,20 @@ def recover(directory: str) -> tuple[Any, dict[str, Any]]:
     return engine, report
 
 
-def _apply(state: dict[str, Any], record: dict[str, Any]) -> None:
-    """Fold one WAL record into a snapshot-shaped state dict."""
-    op = record["op"]
-    if op not in KNOWN_OPS:
-        raise ValueError(
-            f"WAL record lsn={record['lsn']} has unknown op {op!r}; "
-            "refusing to recover with a silently-dropped mutation")
-    data = record.get("data", {})
-    # virtual time only moves forward; every record advances the clock
+def _fold_snapshot(state: dict[str, Any], record: dict[str, Any]) -> None:
+    """Fold one record's time, policy swap or breaker transition into
+    a snapshot-shaped dict."""
     state["clock"] = max(float(state.get("clock", 0.0)),
                          float(record.get("t", 0.0)))
-    sessions = state.setdefault("sessions", [])
-    by_id = {session["id"]: session for session in sessions}
-    counters = state.setdefault("counters", {})
-
-    if op == "session.create":
-        if data["id"] not in by_id:
-            sessions.append({"id": data["id"], "user": data["user"],
-                             "activations": {}})
-        counters["session_seq"] = max(
-            int(counters.get("session_seq", 1)), int(data.get("seq", 1)))
-    elif op == "session.delete":
-        state["sessions"] = [s for s in sessions if s["id"] != data["id"]]
-    elif op == "activation.add":
-        session = by_id.get(data["session"])
-        if session is not None:
-            session["activations"][data["role"]] = {
-                "activation_id": int(data["activation_id"]),
-                "started": float(data["started"]),
-            }
-        counters["activation_seq"] = max(
-            int(counters.get("activation_seq", 1)),
-            int(data.get("seq", 1)))
-    elif op == "activation.drop":
-        session = by_id.get(data["session"])
-        if session is not None:
-            session["activations"].pop(data["role"], None)
-    elif op == "role.status":
-        state.setdefault("role_enabled", {})[data["role"]] = \
-            bool(data["enabled"])
-    elif op == "user.lock":
-        locked = set(state.get("locked_users", ()))
-        locked.add(data["user"])
-        state["locked_users"] = sorted(locked)
-    elif op == "user.unlock":
-        locked = set(state.get("locked_users", ()))
-        locked.discard(data["user"])
-        state["locked_users"] = sorted(locked)
-    elif op == "context.set":
-        state.setdefault("context", {})[data["key"]] = data["value"]
-    elif op in ("policy.epoch", "config.promote", "config.rollback"):
+    op = record["op"]
+    data = record.get("data", {})
+    if op in SWAP_OPS:
         # the record carries the full re-rendered policy: replay swaps
-        # the text the rule pool regenerates from, no diffing needed;
-        # a lifecycle swap also names the config version now live
+        # the text the rule pool regenerates from, no diffing needed
         state["policy"] = data["policy"]
         state["policy_epoch"] = int(data["epoch"])
         if op != "policy.epoch":
             state["config_version"] = int(data["version"])
-    elif op in ("config.stage", "config.refuse", "decision.check"):
-        # audit/journal records: no authority state to fold (staged
-        # candidates never served; journaled decisions already
-        # committed their effects through the ops above)
-        pass
     elif op == "rule.quarantine":
         rules = {entry["name"]: entry
                  for entry in state.get("rules", ())}
@@ -446,6 +403,82 @@ def _apply(state: dict[str, Any], record: dict[str, Any]) -> None:
             if entry.get("name") == data["rule"]:
                 entry["quarantined"] = False
                 entry["consecutive_faults"] = 0
-    elif op == "clock.advance":
-        state["clock"] = max(float(state.get("clock", 0.0)),
-                             float(data["to"]))
+
+
+def fold(engine: Any, record: dict[str, Any],
+         lost: dict[tuple[str, ...], dict[str, Any]] | None = None
+         ) -> str | None:
+    """Apply one session-level record to ``engine`` as a fact: the one
+    reader of session facts (restore, recovery and replay).
+
+    Writes through the model's record-level methods, so no event, rule,
+    audit or WAL record follows.  Returns a gap reason when the record
+    names a user, role or session the engine lacks; other known ops
+    fold to nothing, unknown ones raise ``ValueError``.  ``lost``
+    (restore's drop ledger) keeps the audit detail of each session or
+    activation a gap left out, until a later record removes it.
+    """
+    op = record["op"]
+    if op not in SESSION_OPS:
+        if op not in KNOWN_OPS:
+            raise ValueError(
+                f"WAL record lsn={record.get('lsn')} has unknown op "
+                f"{op!r}; refusing to recover with a silently-dropped "
+                "mutation")
+        return None
+    data = record.get("data", {})
+    model = engine.model
+    lost = {} if lost is None else lost
+    if op == "session.create":
+        engine._session_seq.resume(data.get("seq", 1))
+        sid, user = data["id"], data["user"]
+        if user not in model.users:
+            lost[(sid,)] = {"session": sid, "user": user,
+                            "reason": "unknown user"}
+            return f"unknown user {user!r}"
+        if sid not in model.sessions:
+            model.create_session_record(sid, user)
+    elif op == "session.delete":
+        sid = data["id"]
+        if sid in model.sessions:
+            for role in model.sessions[sid].active_roles:
+                engine.current_activation.pop((sid, role), None)
+                engine.activation_started.pop((sid, role), None)
+            model.delete_session_record(sid)
+        for key in [key for key in lost if key[0] == sid]:
+            del lost[key]
+    elif op == "activation.add":
+        engine._activation_seq.resume(data.get("seq", 1))
+        sid, role = data["session"], data["role"]
+        key = (sid, role)
+        if sid not in model.sessions:
+            return f"unknown session {sid!r}"
+        if role not in model.roles:
+            lost[key] = {"session": sid, "role": role,
+                         "reason": "unknown role"}
+            return f"unknown role {role!r}"
+        model.add_session_role_record(sid, role)
+        engine.current_activation[key] = int(data["activation_id"])
+        engine.activation_started[key] = float(data["started"])
+    elif op == "activation.drop":
+        sid, role = data["session"], data["role"]
+        key = (sid, role)
+        if sid in model.sessions:
+            model.drop_session_role_record(sid, role)
+        engine.current_activation.pop(key, None)
+        engine.activation_started.pop(key, None)
+        lost.pop(key, None)
+    elif op == "role.status":
+        if data["role"] not in model.roles:
+            return f"unknown role {data['role']!r}"
+        model.set_role_enabled(data["role"], bool(data["enabled"]))
+    elif op == "user.lock":
+        engine.locked_users.add(data["user"])
+    elif op == "user.unlock":
+        engine.locked_users.discard(data["user"])
+    elif op == "context.set":
+        # ContextProvider.set stores silently (no event)
+        engine.context.set(data["key"], data["value"])
+    else:  # clock.advance: virtual time only moves forward
+        engine.clock.advance_to(max(engine.clock.now, float(data["to"])))
+    return None

@@ -97,3 +97,27 @@ class TestPartnerRegeneration:
         assert "dyn" not in engine.policy.dsd
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Nurse")  # no DSD in the way
+
+
+def test_anchor_deletion_deactivates_dependents_through_the_log(
+        engine, tmp_path):
+    """Deleting an anchor deactivates every pair of it through
+    commit_deactivation: the transaction dependent goes with it, each
+    dropped pair writes one ``activation.drop`` record, and no dead
+    pair stays in ``current_activation``."""
+    from repro.wal import Durability, read_wal
+    engine.assign_user("bob", "Manager")
+    sid = engine.create_session("bob")
+    engine.add_active_role(sid, "Manager")
+    engine.add_active_role(sid, "JuniorEmp")
+    durability = Durability(engine, str(tmp_path), batch_size=1)
+    try:
+        engine.delete_role("Manager")
+        records, _ = read_wal(durability.wal_path)
+    finally:
+        durability.close()
+    assert engine.model.session_roles(sid) == set()
+    drops = sorted(r["data"]["role"] for r in records
+                   if r["op"] == "activation.drop")
+    assert drops == ["JuniorEmp", "Manager"]
+    assert engine.current_activation == {}

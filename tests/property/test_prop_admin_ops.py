@@ -16,7 +16,8 @@ every op:
   live session once the sequence has run.
 
 The first two also hold, exhaustively, for every op over the universes
-applied once to the base state.
+applied once to the base state, and there an op moves the policy epoch
+if and only if it changed the rendered policy.
 
 A round-trip property pins the differ and the spec side of the ops
 against each other: applying ``diff_specs(old, new).model_ops`` to
@@ -206,7 +207,9 @@ def check_op(engine: ActiveRBACEngine, shard: Shard, step: tuple) -> None:
 
 def test_every_single_op_from_the_base_state():
     """Exhaustive over the small universes: every op, once, on a fresh
-    engine with live sessions."""
+    engine with live sessions.  An op moves the policy epoch if and
+    only if it changed the rendered policy: one that changes nothing
+    costs no epoch, and so no recompile and no WAL record."""
     spec = parse_policy(BASE)
     for name in DOMAINS:
         for op in dict.fromkeys(ops_of(name)):
@@ -214,7 +217,10 @@ def test_every_single_op_from_the_base_state():
             shard = Shard("t", engine)
             for user in ("u0", "u1"):
                 shard.session_for(user)
+            epoch, text = engine.policy_epoch, render_policy(engine.policy)
             check_op(engine, shard, ("apply", op))
+            assert (engine.policy_epoch != epoch) == (
+                render_policy(engine.policy) != text), op
 
 
 @settings(max_examples=150, deadline=None,

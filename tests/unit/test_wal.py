@@ -409,3 +409,91 @@ class TestPolicyEditorDurability:
         revived.add_active_role(revived.create_session("bob"), "A")
         with pytest.raises(AccessDenied):
             revived.add_active_role(revived.create_session("carol"), "A")
+
+
+ANCHOR_POLICY = """
+policy anchored {
+  role A; role B;
+  user bob;
+  assign bob to A; assign bob to B;
+  permission read on doc;
+  grant read on doc to A;
+  transaction B during A;
+}
+"""
+
+
+class TestDeletionIsDurable:
+    """Deleting a user or role tears its live state down through the
+    logged commit helpers, so recovery cannot resurrect it."""
+
+    def test_deleted_user_session_stays_deleted(self, durable):
+        engine, _, directory = durable
+        sid = engine.create_session("bob", session_id="s1")
+        engine.add_active_role(sid, "A")
+        engine.delete_user("bob")
+        engine.add_user("bob")
+        live = engine.check_access("s1", "read", "doc")
+        revived, _ = recover(directory)
+        assert set(revived.model.sessions) == set(engine.model.sessions)
+        assert live is False
+        assert revived.check_access("s1", "read", "doc") is live
+
+    def test_deleted_anchor_role_stays_deleted(self, tmp_path):
+        engine = ActiveRBACEngine.from_policy(parse_policy(ANCHOR_POLICY))
+        durability = Durability(engine, str(tmp_path), batch_size=1)
+        try:
+            sid = engine.create_session("bob", session_id="s1")
+            engine.add_active_role(sid, "A")
+            engine.add_active_role(sid, "B")
+            engine.delete_role("A")
+            engine.add_role("A")
+            engine.grant_permission("A", "read", "doc")
+            live = engine.check_access(sid, "read", "doc")
+        finally:
+            durability.close()
+        revived, _ = recover(str(tmp_path))
+        assert revived.model.session_roles(sid) == \
+            engine.model.session_roles(sid) == set()
+        assert live is False
+        assert revived.check_access(sid, "read", "doc") is live
+
+
+def _append(directory, records):
+    log = WriteAheadLog(os.path.join(directory, "wal.log"), batch_size=1)
+    for op, data in records:
+        log.append(op, data, 0.0)
+    log.close()
+
+
+class TestTailDrops:
+    """A tail session or activation the final policy cannot hold is
+    dropped and audited; one a later record removed is not."""
+
+    def test_only_live_tail_state_is_audited_as_dropped(self, engine,
+                                                        tmp_path):
+        Durability(engine, str(tmp_path), batch_size=1).close()
+        _append(str(tmp_path), [
+            ("session.create", {"id": "s_ghost", "user": "ghost",
+                                "seq": 1}),
+            ("session.create", {"id": "s_gone", "user": "ghost2",
+                                "seq": 1}),
+            ("session.delete", {"id": "s_gone"}),
+            ("session.create", {"id": "s_bob", "user": "bob", "seq": 1}),
+            ("activation.add", {"session": "s_bob", "role": "Gone",
+                                "activation_id": 1, "started": 0.0,
+                                "seq": 2}),
+            ("activation.add", {"session": "s_bob", "role": "Undone",
+                                "activation_id": 2, "started": 0.0,
+                                "seq": 3}),
+            ("activation.drop", {"session": "s_bob", "role": "Undone"}),
+        ])
+        revived, _ = recover(str(tmp_path))
+        assert set(revived.model.sessions) == {"s_bob"}
+        (session,) = revived.audit.by_kind("restore.drop_session")
+        assert session.detail["session"] == "s_ghost"
+        (activation,) = revived.audit.by_kind("restore.drop_activation")
+        assert activation.detail["role"] == "Gone"
+        (record,) = revived.audit.by_kind("admin.restore")
+        assert record.detail["dropped_sessions"] == 1
+        assert record.detail["dropped_activations"] == 1
