@@ -885,7 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: keep the engine's)")
     flightrec.add_argument("--out", default=None,
                            help="directory for the dump file "
-                                "(default: a fresh temp directory)")
+                                "(default: $REPRO_FLIGHTREC_DIR, else "
+                                "a fresh temp directory)")
     flightrec.add_argument("--tail", type=int, default=0,
                            help="also print the last N records")
     flightrec.set_defaults(fn=cmd_flightrec)
@@ -936,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(requires --wal)")
     serve.add_argument("--flightrec-dir", default=None,
                        help="flight-recorder dump directory (default: "
-                            "$REPRO_FLIGHTREC_DIR, else per-engine "
-                            "temp)")
+                            "$REPRO_FLIGHTREC_DIR, else one temp "
+                            "directory per process)")
     serve.add_argument("--map", action="append",
                        metavar="HOME:ROLE=HOST:ROLE",
                        help="cross-shard role mapping (repeatable)")

@@ -389,7 +389,9 @@ class ActiveRBACEngine(EnforcementHelpers):
         Raises :class:`~repro.errors.AccessDenied` when the globalized
         session rule denies (unknown or locked user, duplicate id).
         """
-        sid = session_id or f"s{next(self._session_seq)}"
+        # the id is only proposed here; commit_session consumes it, so a
+        # denied request leaves no gap a WAL record would not carry
+        sid = session_id or f"s{self._session_seq.peek}"
         self.detector.raise_event("createSession", user=user, sessionId=sid)
         if sid not in self.model.sessions:
             raise OperationDenied(
@@ -416,7 +418,7 @@ class ActiveRBACEngine(EnforcementHelpers):
             raise UnknownRoleError(role)
         session = self.model.sessions.get(session_id)
         user = session.user if session is not None else None
-        activation_id = next(self._activation_seq)
+        activation_id = self._activation_seq.peek
         self.detector.raise_event(
             f"addActiveRole.{role}", user=user, sessionId=session_id,
             role=role, activationId=activation_id,
@@ -874,6 +876,8 @@ class ActiveRBACEngine(EnforcementHelpers):
             wal.log(op, **data)
 
     def commit_session(self, session_id: str, user: str) -> None:
+        if session_id == f"s{self._session_seq.peek}":
+            next(self._session_seq)
         self.model.create_session_record(session_id, user)
         self.obs.session_changed("create")
         self.audit.record("session.create", session=session_id, user=user)
@@ -894,6 +898,8 @@ class ActiveRBACEngine(EnforcementHelpers):
 
     def commit_activation(self, session_id: str, role: str,
                           activation_id: int) -> None:
+        if activation_id == self._activation_seq.peek:
+            next(self._activation_seq)
         self.model.add_session_role_record(session_id, role)
         self.current_activation[(session_id, role)] = activation_id
         self.activation_started[(session_id, role)] = self.clock.now

@@ -70,6 +70,18 @@ FALLBACK_REASONS = (
 )
 
 
+#: the temp directory dumps land in when nothing names one; created by
+#: the first such dump and shared by every recorder in the process
+_PROCESS_DUMP_DIR: str | None = None
+
+
+def _process_dump_dir() -> str:
+    global _PROCESS_DUMP_DIR
+    if _PROCESS_DUMP_DIR is None:
+        _PROCESS_DUMP_DIR = tempfile.mkdtemp(prefix="repro-flightrec-")
+    return _PROCESS_DUMP_DIR
+
+
 class FlightRecorder:
     """Fixed-size ring of the most recent decisions and rule firings.
 
@@ -92,8 +104,8 @@ class FlightRecorder:
         self.capacity = capacity
         self._buf: list[tuple | None] = [None] * capacity
         self._seq = 0          # monotone entry sequence (1-based)
-        #: where auto-dumps land; defaults lazily to a per-process
-        #: temp directory (or $REPRO_FLIGHTREC_DIR) on the first dump
+        #: where auto-dumps land; defaults lazily to $REPRO_FLIGHTREC_DIR
+        #: or the per-process temp directory on the first dump
         self.dump_dir = dump_dir
         self.dumps = 0
 
@@ -109,8 +121,8 @@ class FlightRecorder:
     def resolved_dir(self) -> str | None:
         """Where the next dump would land: the configured ``dump_dir``
         (constructor, attribute, or a front-end's ``--flightrec-dir``),
-        else ``$REPRO_FLIGHTREC_DIR``, else None — meaning a fresh
-        per-process temp directory gets created on first dump.
+        else ``$REPRO_FLIGHTREC_DIR``, else None — meaning the
+        process's shared temp directory (created on its first dump).
         ``engine.health()`` surfaces this so operators can tell where
         the forensic ring will go *before* anything goes wrong."""
         return self.dump_dir or os.environ.get("REPRO_FLIGHTREC_DIR")
@@ -178,11 +190,13 @@ class FlightRecorder:
              context: dict[str, Any] | None = None) -> str:
         """Write the ring to a JSON file and return its path.
 
-        ``directory`` overrides ``dump_dir``; with neither set, a
-        per-process temp directory is created lazily (overridable via
-        the ``REPRO_FLIGHTREC_DIR`` environment variable).  The file is
-        fsynced — a dump is a forensic record, usually written because
-        something just went wrong.
+        ``directory`` overrides ``dump_dir``; with neither set, the
+        ``REPRO_FLIGHTREC_DIR`` environment variable names the
+        directory, else one temp directory per process is created on
+        the first such dump and shared by every recorder.  A dump never
+        overwrites another: a taken name gets a ``.2``, ``.3``, ...
+        suffix.  The file is fsynced — a dump is a forensic record,
+        usually written because something just went wrong.
         """
         from repro.containment import fsync_file
 
@@ -190,14 +204,20 @@ class FlightRecorder:
         if target is None:
             target = os.environ.get("REPRO_FLIGHTREC_DIR")
         if target is None:
-            target = self.dump_dir = tempfile.mkdtemp(
-                prefix="repro-flightrec-")
+            target = self.dump_dir = _process_dump_dir()
         os.makedirs(target, exist_ok=True)
         self.dumps += 1
         safe = "".join(c if (c.isalnum() or c in "._-") else "_"
                        for c in cause)
-        path = os.path.join(target,
-                            f"flightrec-{self.dumps:04d}-{safe}.json")
+        base = os.path.join(target, f"flightrec-{self.dumps:04d}-{safe}")
+        path, clash = f"{base}.json", 1
+        while True:
+            try:
+                handle = open(path, "x", encoding="utf-8")
+                break
+            except FileExistsError:
+                clash += 1
+                path = f"{base}.{clash}.json"
         payload = {
             "cause": cause,
             "seq": self._seq,
@@ -206,7 +226,7 @@ class FlightRecorder:
         }
         if context:
             payload["context"] = context
-        with open(path, "w", encoding="utf-8") as handle:
+        with handle:
             json.dump(payload, handle, indent=2, sort_keys=True,
                       default=str)
             handle.write("\n")

@@ -1,14 +1,16 @@
-"""Load and chaos client for the service plane's smoke gates.
+"""Load and chaos client for the service plane's resilience gates.
 
 Drives a running ``repro-rbac serve`` instance with the deterministic
 service plan from :func:`repro.workloads.generate_service_plan`.  It
-is test support, not product: ``benchmarks/smoke_serve.py`` and the
-serve integration suites call it in-process.  Three modes:
+is test support, not product: ``benchmarks/smoke_serve.py --chaos``
+and the serve integration suites call it in-process; the served-traffic
+benchmark, which also checks every verdict, is ``perfbench/``.  Three
+modes:
 
-* **closed loop** (:func:`run_loadgen`) — every worker runs *send one
-  request, await the response, record the latency, repeat* over a
-  persistent keep-alive connection; one :class:`LoadLevel` row per
-  concurrency level, summarized into ``BENCH_serve.json``;
+* **closed loop** (:func:`run_level`) — every worker runs *send one
+  request, await the response, repeat* over a persistent keep-alive
+  connection; the :class:`LoadLevel` it returns is the completed-rate
+  calibration the overload leg offers twice of;
 * **open loop** (:func:`run_overload`) — requests are launched on a
   fixed wall-clock schedule (``rps``) whether or not earlier ones have
   answered, which is the only honest way to measure *overload*: a
@@ -47,10 +49,9 @@ from repro.errors import RetryExhausted
 from repro.testing.faults import NetFault, NetFaultPlan
 from repro.workloads.generator import ServiceOp
 
-__all__ = ["HttpClient", "ChaosHttpClient", "LoadLevel", "LoadReport",
-           "OverloadReport", "ChaosReport", "run_level", "run_loadgen",
-           "run_overload", "run_chaos", "write_bench", "write_json",
-           "percentile"]
+__all__ = ["HttpClient", "ChaosHttpClient", "LoadLevel", "OverloadReport",
+           "ChaosReport", "run_level", "run_overload", "run_chaos",
+           "write_json", "percentile"]
 
 #: transport failures a client survives by reconnecting
 _NET_ERRORS = (ConnectionError, asyncio.IncompleteReadError, OSError)
@@ -265,83 +266,13 @@ class ChaosHttpClient(HttpClient):
 
 @dataclass
 class LoadLevel:
-    """One saturation-curve point: a plan slice at fixed concurrency."""
+    """One closed-loop replay: completed requests over wall time."""
 
-    concurrency: int
     requests: int = 0
     errors: int = 0
-    allowed: int = 0
-    denied: int = 0
-    swaps: int = 0
     reconnects: int = 0
     retries: int = 0
     elapsed_s: float = 0.0
-    by_kind: dict[str, int] = field(default_factory=dict)
-    latencies_us: list[float] = field(default_factory=list)
-
-    @property
-    def rps(self) -> float:
-        return self.requests / self.elapsed_s if self.elapsed_s else 0.0
-
-    def p(self, q: float) -> float:
-        return percentile(self.latencies_us, q)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "concurrency": self.concurrency,
-            "requests": self.requests,
-            "errors": self.errors,
-            "allowed": self.allowed,
-            "denied": self.denied,
-            "admin_swaps": self.swaps,
-            "reconnects": self.reconnects,
-            "retries": self.retries,
-            "elapsed_s": round(self.elapsed_s, 4),
-            "rps": round(self.rps, 1),
-            "p50_us": round(self.p(0.50), 1),
-            "p90_us": round(self.p(0.90), 1),
-            "p99_us": round(self.p(0.99), 1),
-            "max_us": round(max(self.latencies_us, default=0.0), 1),
-            "by_kind": dict(sorted(self.by_kind.items())),
-        }
-
-
-@dataclass
-class LoadReport:
-    """The whole run: one row per concurrency level."""
-
-    users: int
-    shards: int
-    levels: list[LoadLevel] = field(default_factory=list)
-
-    @property
-    def overall_p50_us(self) -> float:
-        return percentile(self._all_latencies(), 0.50)
-
-    @property
-    def overall_p99_us(self) -> float:
-        return percentile(self._all_latencies(), 0.99)
-
-    def _all_latencies(self) -> list[float]:
-        merged: list[float] = []
-        for level in self.levels:
-            merged.extend(level.latencies_us)
-        return merged
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "simulated_users": self.users,
-            "shards": self.shards,
-            "requests": sum(level.requests for level in self.levels),
-            "errors": sum(level.errors for level in self.levels),
-            "admin_swaps": sum(level.swaps for level in self.levels),
-            "reconnects": sum(level.reconnects
-                              for level in self.levels),
-            "retries": sum(level.retries for level in self.levels),
-            "p50_us": round(self.overall_p50_us, 1),
-            "p99_us": round(self.overall_p99_us, 1),
-            "saturation": [level.to_dict() for level in self.levels],
-        }
 
 
 @dataclass
@@ -458,15 +389,13 @@ def _op_request(op: ServiceOp) -> tuple[str, str, dict[str, Any] | None]:
         return "GET", "/metrics", None
     if op.kind == "health":
         return "GET", "/healthz", None
-    if op.kind == "admin":
-        return "POST", "/v1/admin", dict(op.payload)
     raise ValueError(f"unknown service op kind {op.kind!r}")
 
 
 async def run_level(host: str, port: int, ops: Sequence[ServiceOp],
                     concurrency: int, seed: int = 0) -> LoadLevel:
     """Replay ``ops`` closed-loop over ``concurrency`` connections."""
-    level = LoadLevel(concurrency=concurrency)
+    level = LoadLevel()
     queue: asyncio.Queue[ServiceOp] = asyncio.Queue()
     for op in ops:
         queue.put_nowait(op)
@@ -484,27 +413,14 @@ async def run_level(host: str, port: int, ops: Sequence[ServiceOp],
                 except asyncio.QueueEmpty:
                     return
                 method, target, body = _op_request(op)
-                start = time.perf_counter()
                 try:
-                    status, payload = await client.request(
-                        method, target, body)
+                    status, _ = await client.request(method, target, body)
                 except RetryExhausted:
                     level.errors += 1
                     continue
-                level.latencies_us.append(
-                    (time.perf_counter() - start) * 1e6)
                 level.requests += 1
-                level.by_kind[op.kind] = level.by_kind.get(op.kind, 0) + 1
                 if status >= 500 or (status >= 400 and op.kind != "check"):
                     level.errors += 1
-                elif op.kind == "check" and isinstance(payload, dict):
-                    if payload.get("allowed"):
-                        level.allowed += 1
-                    else:
-                        level.denied += 1
-                elif op.kind == "admin" and isinstance(payload, dict):
-                    if payload.get("swapped"):
-                        level.swaps += 1
         finally:
             level.reconnects += client.reconnects
             level.retries += client.retries
@@ -514,28 +430,6 @@ async def run_level(host: str, port: int, ops: Sequence[ServiceOp],
     await asyncio.gather(*(worker(i) for i in range(concurrency)))
     level.elapsed_s = time.perf_counter() - start
     return level
-
-
-async def run_loadgen(host: str, port: int, plan: Sequence[ServiceOp],
-                      levels: Sequence[int] = (1, 4, 16),
-                      users: int = 0, shards: int = 0,
-                      seed: int = 0) -> LoadReport:
-    """The full saturation sweep: the plan is split evenly across the
-    concurrency levels (each level replays a distinct slice, so session
-    warm-up cost is spread rather than all charged to level one)."""
-    report = LoadReport(users=users, shards=shards)
-    if not plan or not levels:
-        return report
-    slice_size = max(1, len(plan) // len(levels))
-    for index, concurrency in enumerate(levels):
-        lo = index * slice_size
-        hi = len(plan) if index == len(levels) - 1 else lo + slice_size
-        ops = plan[lo:hi]
-        if not ops:
-            break
-        report.levels.append(
-            await run_level(host, port, ops, concurrency, seed=seed))
-    return report
 
 
 async def run_overload(host: str, port: int, ops: Sequence[ServiceOp],
@@ -662,11 +556,3 @@ def write_json(payload: dict[str, Any], path: str) -> dict[str, Any]:
         handle.write("\n")
     return payload
 
-
-def write_bench(report: LoadReport, path: str,
-                extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Write ``BENCH_serve.json``; returns the payload written."""
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
-    return write_json(payload, path)

@@ -20,11 +20,11 @@ shaped by :class:`EnterpriseShape`:
 For the service plane, :func:`generate_fleet` builds a multi-shard
 fleet of synthetic enterprises (one spec per shard, differently
 seeded) and :func:`generate_service_plan` emits the HTTP-level op mix
-(check / batch / explain / metrics / health, plus periodic
-control-plane grants) that the :mod:`repro.testing.load` client
-replays.  ``serve --synthetic`` and the client derive the same fleet
-from ``(shards, users, seed)``, so client and server agree on every
-user, role and object name without any out-of-band coordination.
+(check / batch / explain / metrics / health) that the
+:mod:`repro.testing.load` client replays.  ``serve --synthetic`` and
+the client derive the same fleet from ``(shards, users, seed)``, so
+client and server agree on every user, role and object name without
+any out-of-band coordination.
 """
 
 from __future__ import annotations
@@ -360,49 +360,33 @@ def generate_fleet(shards: int = 2, users: int = 10_000,
     return fleet
 
 
+#: service-plan weights of (check, check_batch, explain, metrics, health)
+SERVICE_MIX = (0.82, 0.08, 0.06, 0.02, 0.02)
+#: checks per ``check_batch`` op in a service plan
+SERVICE_BATCH = 8
+
+
 @dataclass(frozen=True)
 class ServiceOp:
     """One HTTP-level operation in a service-plane plan.
 
     ``kind`` is one of ``check``, ``check_batch``, ``explain``,
-    ``metrics``, ``health``, ``admin``; ``payload`` is the request
-    body (POST) or query arguments (GET) the client sends.
+    ``metrics``, ``health``; ``payload`` is the request body (POST) or
+    query arguments (GET) the client sends.
     """
 
     kind: str
     payload: dict[str, Any] = field(default_factory=dict)
 
 
-def _unused_grants(spec: PolicySpec) -> Iterator[tuple[str, str, str]]:
-    """Deterministically enumerate (role, operation, object) triples
-    the spec does *not* already grant — the admin-mutation supply.
-
-    Each is a pure addition, so plan replay order (concurrent load
-    workers finish out of order) can never double-grant or revoke a
-    grant that is not there: every admin op succeeds and bumps the
-    policy epoch exactly once.
-    """
-    granted = set(spec.grants)
-    for role in sorted(spec.roles):
-        for operation, obj in spec.permissions:
-            if (role, operation, obj) not in granted:
-                yield role, operation, obj
-
-
-def generate_service_plan(
-        fleet: dict[str, PolicySpec], length: int, seed: int = 23,
-        mix: tuple[float, float, float, float, float]
-        = (0.82, 0.08, 0.06, 0.02, 0.02),
-        admin_every: int = 0, batch_size: int = 8) -> list[ServiceOp]:
+def generate_service_plan(fleet: dict[str, PolicySpec], length: int,
+                          seed: int = 23) -> list[ServiceOp]:
     """The deterministic HTTP op mix the load client replays.
 
-    ``mix`` weights (check, check_batch, explain, metrics, health).
-    With more than one shard, users are addressed as ``name@shard`` so
-    the router's home-domain rule picks the right tenant.  When
-    ``admin_every`` is N > 0, every Nth op is a control-plane grant
-    (``POST /v1/admin``) drawn from :func:`_unused_grants`, round-robin
-    across shards — the mid-run mutations whose epoch swaps the
-    differential test observes.
+    :data:`SERVICE_MIX` weights the op kinds; each batch carries
+    :data:`SERVICE_BATCH` checks.  With more than one shard, users are
+    addressed as ``name@shard`` so the router's home-domain rule picks
+    the right tenant.
     """
     rng = random.Random(seed)
     shard_names = sorted(fleet)
@@ -410,13 +394,11 @@ def generate_service_plan(
         raise ValueError("empty fleet")
     qualify = len(shard_names) > 1
     per_shard: dict[str, tuple[list[str], list[tuple[str, str]]]] = {}
-    admin_supply: dict[str, Iterator[tuple[str, str, str]]] = {}
     for name in shard_names:
         spec = fleet[name]
         users = sorted(spec.users)
         perms = spec.permissions or [("op0", "obj0000")]
         per_shard[name] = (users, list(perms))
-        admin_supply[name] = _unused_grants(spec)
 
     def draw_check(shard: str) -> dict[str, Any]:
         users, perms = per_shard[shard]
@@ -426,26 +408,14 @@ def generate_service_plan(
                 "operation": operation, "object": obj}
 
     plan: list[ServiceOp] = []
-    check_w, batch_w, explain_w, metrics_w, _health_w = mix
+    check_w, batch_w, explain_w, metrics_w, _health_w = SERVICE_MIX
     for index in range(length):
         shard = shard_names[index % len(shard_names)]
-        if admin_every > 0 and (index + 1) % admin_every == 0:
-            try:
-                role, operation, obj = next(admin_supply[shard])
-            except StopIteration:
-                pass  # tenant fully granted; fall through to the mix
-            else:
-                plan.append(ServiceOp("admin", {
-                    "domain": shard, "op": "grant",
-                    "args": {"role": role, "operation": operation,
-                             "object": obj}}))
-                continue
         draw = rng.random()
         if draw < check_w:
             plan.append(ServiceOp("check", draw_check(shard)))
         elif draw < check_w + batch_w:
-            checks = [draw_check(shard)
-                      for _ in range(max(1, batch_size))]
+            checks = [draw_check(shard) for _ in range(SERVICE_BATCH)]
             plan.append(ServiceOp("check_batch", {"checks": checks}))
         elif draw < check_w + batch_w + explain_w:
             plan.append(ServiceOp("explain", draw_check(shard)))

@@ -42,6 +42,17 @@ policy XYZ {
 """
 
 
+@pytest.fixture(scope="session", autouse=True)
+def flightrec_dir(tmp_path_factory):
+    """Every flight-recorder dump of the run, subprocesses included,
+    lands in one pytest temp dir instead of the system temp dir."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_FLIGHTREC_DIR",
+                 str(tmp_path_factory.mktemp("flightrec")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture
 def xyz_spec() -> PolicySpec:
     return parse_policy(XYZ_POLICY_TEXT)

@@ -1,7 +1,7 @@
 """Integration: the asyncio service plane end to end.
 
 Boots a real :class:`~repro.serve.http.ServeApp` on an ephemeral port
-inside each test and talks to it over actual sockets with the loadgen
+inside each test and talks to it over actual sockets with the load
 client — routing across shards, batch checks, explain, metrics,
 health, the RCU epoch-swap differential, concurrent clients with
 interleaved control-plane mutations, and the graceful drain / WAL
@@ -25,7 +25,8 @@ from repro.federation import RoleMapping
 from repro.kernel import KERNEL_DENY, KERNEL_GRANT
 from repro.serve import ServeApp, ShardRouter
 from repro.testing.load import HttpClient
-from repro.wal import Durability
+from repro.wal import Durability, read_wal
+from repro.workloads import generate_fleet
 
 ALPHA = """
 policy alpha {
@@ -370,34 +371,61 @@ class TestShutdown:
 class TestSigterm:
     def test_subprocess_sigterm_exits_cleanly(self, tmp_path):
         """The deployment contract end to end: boot the CLI server as
-        a real process, SIGTERM it, and assert exit 0 plus the
-        drain/flush/dump summary on stdout."""
+        a real two-shard process, swap one shard's policy epoch through
+        the admin API, SIGTERM it, and assert exit 0, the drained
+        summary on stdout, every shard's WAL on disk with the swap in
+        the granting shard's log, and one distinct flight-recorder dump
+        per shard inside ``--flightrec-dir``."""
         port_file = tmp_path / "port.txt"
         flight_dir = tmp_path / "flightrec"
+        wal_dir = tmp_path / "wal"
+        # serve derives the same synthetic fleet from (shards, users,
+        # roles, seed): pick a grant shard00's tenant does not have yet
+        spec = generate_fleet(2, 40, 10, 7)["shard00"]
+        role, operation, obj = next(
+            (role, operation, obj) for role in sorted(spec.roles)
+            for operation, obj in spec.permissions
+            if (role, operation, obj) not in spec.grants)
         env = dict(os.environ)
         repo_src = str(pathlib.Path(__file__).resolve()
                        .parents[2] / "src")
         env["PYTHONPATH"] = repo_src
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--synthetic", "1", "--users", "40", "--roles", "10",
+             "--synthetic", "2", "--users", "40", "--roles", "10",
+             "--seed", "7",
              "--port", "0", "--port-file", str(port_file),
-             "--wal", str(tmp_path / "wal"),
+             "--wal", str(wal_dir),
              "--flightrec-dir", str(flight_dir)],
             env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
+
+        async def grant(port):
+            client = HttpClient("127.0.0.1", port)
+            try:
+                return await client.request("POST", "/v1/admin", {
+                    "domain": "shard00", "op": "grant",
+                    "args": {"role": role, "operation": operation,
+                             "object": obj}})
+            finally:
+                await client.close()
+
         try:
             deadline = time.monotonic() + 30
             while not port_file.exists():
                 assert proc.poll() is None, proc.stdout.read()
                 assert time.monotonic() < deadline, "server never bound"
                 time.sleep(0.05)
+            status, swap = asyncio.run(
+                grant(int(port_file.read_text().strip())))
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=30)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+        assert status == 200, swap
+        assert swap["shard"] == "shard00" and swap["swapped"] is True
         assert proc.returncode == 0, out
         # the readiness signal must not outlive the process
         assert not port_file.exists()
@@ -406,6 +434,20 @@ class TestSigterm:
         assert lines, out
         summary = json.loads(lines[-1].removeprefix("shutdown: "))
         assert summary["drained"] is True
-        dump = summary["flight_dumps"]["shard00"]
-        assert pathlib.Path(dump).is_file()
-        assert pathlib.Path(dump).parent == flight_dir
+        # the grant's record sat in shard00's group-commit batch until
+        # shutdown fsynced it
+        assert summary["wal_flushed"] >= 1
+        epochs = {}
+        for shard in ("shard00", "shard01"):
+            log = wal_dir / shard / "wal.log"
+            assert log.is_file(), shard
+            records, _ = read_wal(str(log))
+            epochs[shard] = [record for record in records
+                             if record["op"] == "policy.epoch"]
+        assert epochs["shard00"] and not epochs["shard01"]
+        dumps = summary["flight_dumps"]
+        assert sorted(dumps) == ["shard00", "shard01"]
+        assert len(set(dumps.values())) == 2, dumps
+        for dump in dumps.values():
+            assert pathlib.Path(dump).is_file()
+            assert pathlib.Path(dump).parent == flight_dir

@@ -6,8 +6,8 @@ drops, session deletes, locks, context sets, clock advances, role
 disable/enable, and administrative ``delete_user``/``delete_role``
 followed by re-adds.  After each script, ``recover(directory)`` must
 rebuild the same sessions and active roles, activation ids and start
-times, id counters, locks, role status, context and clock, and answer
-``check_access`` the same over a probe grid.
+times, id counters (exactly), locks, role status, context and clock,
+and answer ``check_access`` the same over a probe grid.
 
 The deletes are the interesting part: a deletion that discarded live
 state without logging it let recovery resurrect a session or an
@@ -154,12 +154,12 @@ def test_recovery_equals_the_live_engine(steps):
         revived, _ = recover(directory)
         assert view(revived) == view(engine)
         assert answers(revived, seen) == answers(engine, seen)
-        # the counters resume past every id the live engine committed
-        # and never run ahead of it; an id a denied create_session or
-        # activation consumed is never logged, so it may be issued again
+        # only a committed session or activation consumes an id, so the
+        # counters resume exactly where the live engine stands, past
+        # every id it issued
         sessions, activations = (revived._session_seq.peek,
                                  revived._activation_seq.peek)
-        assert sessions <= engine._session_seq.peek
+        assert sessions == engine._session_seq.peek
         assert all(int(sid[1:]) < sessions for sid in seen)
-        assert activations <= engine._activation_seq.peek
+        assert activations == engine._activation_seq.peek
         assert all(aid < activations for aid in activation_ids)

@@ -5,12 +5,14 @@ API's derivation structure."""
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import pytest
 
 from repro import ActiveRBACEngine, parse_policy
 from repro.errors import OperationDenied
-from repro.obs import FALLBACK_REASONS, FlightRecorder
+from repro.obs import FALLBACK_REASONS, FlightRecorder, provenance
 
 POLICY = """
 policy provtest {
@@ -134,6 +136,22 @@ class TestFlightRecorder:
         flight = FlightRecorder(capacity=2)
         path = flight.dump("envtest")
         assert path.startswith(str(tmp_path))
+
+    def test_default_directory_is_one_per_process(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.delenv("REPRO_FLIGHTREC_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(provenance, "_PROCESS_DUMP_DIR", None,
+                            raising=False)
+        first = FlightRecorder(capacity=2).dump("same")
+        second = FlightRecorder(capacity=2).dump("same")
+        assert os.path.dirname(first) == os.path.dirname(second)
+        assert os.listdir(tmp_path) == [os.path.basename(
+            os.path.dirname(first))]
+        # same cause, same per-recorder counter: neither overwrote
+        assert first != second
+        with open(first, encoding="utf-8") as handle:
+            assert json.load(handle)["cause"] == "same"
 
 
 # ==========================================================================

@@ -1,4 +1,4 @@
-"""Unit: HTTP protocol helpers and the loadgen report machinery."""
+"""Unit: HTTP protocol helpers and the load client's request mapping."""
 
 import pytest
 
@@ -15,12 +15,7 @@ from repro.serve.http import (
     parse_request_head,
     response_bytes,
 )
-from repro.testing.load import (
-    LoadLevel,
-    LoadReport,
-    _op_request,
-    percentile,
-)
+from repro.testing.load import _op_request, percentile
 from repro.workloads import ServiceOp
 
 
@@ -125,37 +120,6 @@ class TestOpRequest:
         assert "user=u" in target
         assert body is None
 
-    def test_admin_maps_to_admin_route(self):
-        method, target, _ = _op_request(ServiceOp("admin", {
-            "domain": "s", "op": "grant", "args": {}}))
-        assert (method, target) == ("POST", "/v1/admin")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             _op_request(ServiceOp("teleport", {}))
-
-
-class TestLoadReport:
-    def test_level_percentiles_and_dict(self):
-        level = LoadLevel(concurrency=4)
-        level.requests = 4
-        level.elapsed_s = 2.0
-        level.latencies_us = [100.0, 200.0, 300.0, 400.0]
-        row = level.to_dict()
-        assert row["rps"] == 2.0
-        assert row["p50_us"] == 200.0
-        assert row["max_us"] == 400.0
-
-    def test_report_merges_levels(self):
-        report = LoadReport(users=10, shards=2)
-        a = LoadLevel(concurrency=1)
-        a.requests, a.latencies_us = 2, [100.0, 200.0]
-        b = LoadLevel(concurrency=8)
-        b.requests, b.latencies_us = 2, [300.0, 400.0]
-        b.errors = 1
-        report.levels = [a, b]
-        payload = report.to_dict()
-        assert payload["requests"] == 4
-        assert payload["errors"] == 1
-        assert payload["p50_us"] == 200.0
-        assert len(payload["saturation"]) == 2

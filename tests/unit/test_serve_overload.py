@@ -2,7 +2,7 @@
 
 Bulkhead slot accounting, the circuit-breaker state machine (driven
 by a fake monotonic clock), the seeded network-fault schedule, the
-async retry helper the loadgen client reconnects through, and the
+async retry helper the load client reconnects through, and the
 front-end's fail-closed request-framing validators.
 """
 

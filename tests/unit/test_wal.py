@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro import ActiveRBACEngine, parse_policy
+from repro.errors import ActivationDenied, UnknownUserError
 from repro.wal import (
     Durability,
     WriteAheadLog,
@@ -258,6 +259,26 @@ class TestRecover:
         fresh = revived.create_session("carol")
         assert fresh not in revived.audit.by_kind("nothing") and \
             fresh != "s1"
+
+    def test_denied_requests_consume_no_ids(self, durable):
+        """A denied session or activation takes no id (no WAL record
+        could carry it), so recovery resumes both counters exactly
+        where the live engine stands and never issues an id twice."""
+        engine, _durability, directory = durable
+        sid = engine.create_session("bob")
+        with pytest.raises(ActivationDenied):
+            engine.add_active_role(sid, "B")  # bob is not assigned B
+        with pytest.raises(UnknownUserError):
+            engine.create_session("nobody")
+        revived, _ = recover(directory)
+        assert revived._session_seq.peek == engine._session_seq.peek == 2
+        assert revived._activation_seq.peek == \
+            engine._activation_seq.peek == 1
+        engine.add_active_role(sid, "A")
+        revived.add_active_role(sid, "A")
+        assert revived.current_activation == engine.current_activation
+        assert revived.create_session("carol") == \
+            engine.create_session("carol") == "s2"
 
     def test_quarantine_survives_recovery(self, durable):
         engine, durability, directory = durable

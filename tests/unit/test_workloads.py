@@ -11,6 +11,7 @@ from repro.workloads import (
     generate_request_stream,
     generate_service_plan,
 )
+from repro.workloads.generator import SERVICE_BATCH
 
 
 class TestShapes:
@@ -141,12 +142,12 @@ class TestServicePlan:
         assert first == second
 
     def test_kinds_and_length(self, fleet):
-        plan = generate_service_plan(fleet, 300, seed=23, admin_every=25)
+        plan = generate_service_plan(fleet, 300, seed=23)
         assert len(plan) == 300
         kinds = {op.kind for op in plan}
         assert kinds <= {"check", "check_batch", "explain", "metrics",
-                         "health", "admin"}
-        assert "check" in kinds and "admin" in kinds
+                         "health"}
+        assert "check" in kinds
 
     def test_users_are_shard_qualified(self, fleet):
         plan = generate_service_plan(fleet, 200, seed=23)
@@ -164,31 +165,12 @@ class TestServicePlan:
             if op.kind == "check":
                 assert "@" not in op.payload["user"]
 
-    def test_admin_ops_are_fresh_grants(self, fleet):
-        plan = generate_service_plan(fleet, 200, seed=23, admin_every=10)
-        admins = [op for op in plan if op.kind == "admin"]
-        assert len(admins) == 20
-        seen = set()
-        for op in admins:
-            args = op.payload["args"]
-            shard = op.payload["domain"]
-            spec = fleet[shard]
-            triple = (args["role"], args["operation"], args["object"])
-            # never an existing grant, never repeated: replay order
-            # cannot double-grant no matter how workers interleave
-            assert triple not in spec.grants
-            assert (shard, triple) not in seen
-            seen.add((shard, triple))
-            assert args["role"] in spec.roles
-            assert (args["operation"], args["object"]) in spec.permissions
-            assert op.payload["op"] == "grant"
-
     def test_batch_ops_carry_batches(self, fleet):
-        plan = generate_service_plan(fleet, 400, seed=23, batch_size=5)
+        plan = generate_service_plan(fleet, 400, seed=23)
         batches = [op for op in plan if op.kind == "check_batch"]
         assert batches
         for op in batches:
-            assert len(op.payload["checks"]) == 5
+            assert len(op.payload["checks"]) == SERVICE_BATCH
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
