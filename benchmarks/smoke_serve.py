@@ -45,15 +45,12 @@ the leg passes.  Run from the repo root::
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = REPO / "benchmarks" / "results"
@@ -85,50 +82,34 @@ def boot(workdir: pathlib.Path, *, shards: int, users: int, roles: int,
          seed: int, extra: list[str]) -> tuple[subprocess.Popen, int,
                                                pathlib.Path]:
     """Spawn ``repro-rbac serve`` and wait for its bound port."""
+    from repro.testing.serve import LaunchError, launch
+
     port_file = workdir / "port.txt"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--synthetic", str(shards), "--users", str(users),
-         "--roles", str(roles), "--seed", str(seed),
-         "--port", "0", "--port-file", str(port_file), *extra],
-        env=env, cwd=REPO, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True)
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    while not port_file.exists():
-        if server.poll() is not None:
-            print(server.stdout.read())
-            fail(f"server exited {server.returncode} before binding")
-        if time.monotonic() > deadline:
-            server.kill()
-            server.communicate()
-            fail(f"server did not bind within {BOOT_TIMEOUT_S}s")
-        time.sleep(0.05)
-    return server, int(port_file.read_text().strip()), port_file
+    try:
+        server, port = launch(
+            port_file, ["--synthetic", str(shards), "--users", str(users),
+                        "--roles", str(roles), "--seed", str(seed), *extra],
+            timeout=BOOT_TIMEOUT_S, cwd=REPO)
+    except LaunchError as exc:
+        print(exc.output)
+        fail(str(exc))
+    return server, port, port_file
 
 
 def stop(server: subprocess.Popen, port_file: pathlib.Path,
          leg: str) -> None:
     """SIGTERM the server; assert the graceful-exit contract."""
-    server.send_signal(signal.SIGTERM)
-    try:
-        out, _ = server.communicate(timeout=30)
-    finally:
-        if server.poll() is None:
-            server.kill()
-            server.communicate()
+    from repro.testing.serve import drain
+
+    out, summary = drain(server)
     if server.returncode != 0:
         print(out)
         fail(f"{leg}: server exited {server.returncode} on SIGTERM")
     if port_file.exists():
         fail(f"{leg}: port file survived shutdown: {port_file}")
-    summary_lines = [line for line in out.splitlines()
-                     if line.startswith("shutdown: ")]
-    if not summary_lines:
+    if summary is None:
         print(out)
         fail(f"{leg}: no shutdown summary on stdout")
-    summary = json.loads(summary_lines[-1].removeprefix("shutdown: "))
     if not summary["drained"]:
         fail(f"{leg}: shutdown did not drain: {summary}")
 

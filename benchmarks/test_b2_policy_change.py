@@ -10,6 +10,8 @@ manual-edit cost model.  The timed kernel is one incremental
 regeneration at 200 roles.
 """
 
+from itertools import cycle
+
 from benchmarks._harness import report, timed
 
 from repro import ActiveRBACEngine
@@ -23,6 +25,9 @@ from repro.workloads import EnterpriseShape, generate_enterprise
 
 SWEEP = (20, 50, 200, 500)
 SHIFT = PeriodicInterval.daily("09:00", "17:00")
+#: the shift the timed kernel alternates with SHIFT: re-setting the
+#: window a role already has changes nothing and regenerates nothing
+EARLY = PeriodicInterval.daily("08:00", "16:00")
 
 
 def build(roles: int) -> ActiveRBACEngine:
@@ -72,4 +77,6 @@ def test_b2_policy_change_strategies(benchmark):
 
     big = build(200)
     big_editor = PolicyEditor(big)
-    benchmark(big_editor.set_enabling_window, target_role(big), SHIFT)
+    shifts = cycle((EARLY, SHIFT))
+    benchmark(lambda: big_editor.set_enabling_window(
+        target_role(big), next(shifts)))

@@ -45,7 +45,8 @@ class DirectRBACEngine(EnforcementHelpers):
         self.policy = policy.clone() if policy is not None else PolicySpec()
         self.model = build_model(self.policy)
         self.context = ContextProvider()
-        self.privacy = PrivacyRegistry()
+        self.privacy = PrivacyRegistry.of(self.policy.purposes,
+                                          self.policy.object_policies)
         self.locked_users: set[str] = set()
         self._session_seq = itertools.count(1)
         self._activation_seq = itertools.count(1)
@@ -54,10 +55,6 @@ class DirectRBACEngine(EnforcementHelpers):
         #: suffices for its own bookkeeping)
         self.denials: list[tuple[float, str, str]] = []
 
-        for purpose, parent in self.policy.purposes:
-            self.privacy.purposes.add(purpose, parent)
-        for object_policy in self.policy.object_policies:
-            self.privacy.add_policy(object_policy)
         self._install_enabling_windows()
 
     # ======================================================================

@@ -2,11 +2,13 @@
 
 The differ answers two different questions about a config push:
 
-1. **what static state moves** — ordered model-level operations
-   (roles/users added or removed, hierarchy edges, SoD sets, grants,
-   assignments, cardinality edits) that
-   :meth:`~repro.config.lifecycle.PolicyLifecycle` applies directly to
-   the live :class:`~repro.rbac.model.RBACModel`;
+1. **what the policy edit is** — an ordered script of ops of the
+   engine's one op table (roles/users added or removed, hierarchy
+   edges, SoD sets, grants, assignments, cardinality edits, and every
+   extension descriptor: durations, enabling windows, disabling-time
+   SoD, CFD, context, privacy, thresholds and federation maps) that
+   :class:`~repro.config.lifecycle.PolicyLifecycle` applies through
+   :meth:`ActiveRBACEngine.apply <repro.engine.ActiveRBACEngine.apply>`;
 2. **whose rules change** — the set of roles whose *generated rule
    set* the change actually touches.  This is deliberately narrower
    than "every role the document mentions": a grant, an assignment or
@@ -29,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.policy.spec import ROW_OPS, PolicySpec
+from repro.policy.spec import (
+    DESCRIPTOR_OPS,
+    READERS,
+    ROW_OPS,
+    PolicySpec,
+    row_of,
+)
 
 __all__ = ["ConfigDiff", "diff_specs", "rule_signature"]
 
@@ -44,25 +52,10 @@ def rule_signature(spec: PolicySpec, role: str) -> tuple:
             (name, tuple(sorted(sod.roles)), sod.cardinality)
             for name, sod in spec.dsd.items() if role in sod.roles)),
         spec.roles[role].max_active_users if role in spec.roles else None,
-        tuple(sorted((d.role, d.delta, d.user)
-                     for d in spec.durations if d.role == role)),
-        tuple(sorted(repr(w) for w in spec.enabling_windows
-                     if w.role == role)),
-        tuple(sorted(
-            (c.name, tuple(sorted(c.roles)), repr(c.interval))
-            for c in spec.disabling_sod if role in c.roles)),
-        tuple(sorted((p.role, p.prerequisite)
-                     for p in spec.prerequisites if p.role == role)),
-        tuple(sorted(
-            (p.trigger_role, p.required_role)
-            for p in spec.post_conditions
-            if role in (p.trigger_role, p.required_role))),
-        tuple(sorted(
-            (t.dependent_role, t.anchor_role)
-            for t in spec.transactions
-            if role in (t.dependent_role, t.anchor_role))),
-        tuple(sorted(repr(c) for c in spec.context_constraints
-                     if c.role == role)),
+        # the extension descriptors the role's rules read
+        *(frozenset(item for item in getattr(spec, field)
+                    if role in readers(item))
+          for field, readers in READERS.items()),
     )
 
 
@@ -70,8 +63,8 @@ def rule_signature(spec: PolicySpec, role: str) -> tuple:
 class ConfigDiff:
     """The computed delta between two policy specs.
 
-    ``model_ops`` is the ordered static-state edit script (applied by
-    the lifecycle under one epoch); ``changed_roles`` is the
+    ``model_ops`` is the ordered edit script of op-table ops (applied
+    by the lifecycle as one swap); ``changed_roles`` is the
     rule-relevant seed set regeneration starts from.
     """
 
@@ -79,24 +72,13 @@ class ConfigDiff:
     removed_roles: set[str] = field(default_factory=set)
     #: surviving roles whose generated rule set the change touches
     changed_roles: set[str] = field(default_factory=set)
-    #: ordered static-state edits: ("op", args...) tuples
+    #: ordered policy edits: ("op", args...) tuples
     model_ops: list[tuple[Any, ...]] = field(default_factory=list)
-    #: privacy surface moved (purposes / object policies): the
-    #: registry is rebuilt wholesale on apply
-    privacy_changed: bool = False
-    #: threshold policies moved: monitor policies re-seeded on apply
-    thresholds_changed: bool = False
-    #: context constraint set moved (affects kernel context mask)
-    context_changed: bool = False
-    #: federation role maps moved: serve re-syncs shard federations
-    federation_changed: bool = False
 
     @property
     def is_empty(self) -> bool:
         return not (self.added_roles or self.removed_roles
-                    or self.changed_roles or self.model_ops
-                    or self.privacy_changed or self.thresholds_changed
-                    or self.context_changed or self.federation_changed)
+                    or self.changed_roles or self.model_ops)
 
     @property
     def regen_seeds(self) -> set[str]:
@@ -112,10 +94,6 @@ class ConfigDiff:
             "changed_roles": sorted(self.changed_roles),
             "model_ops": len(self.model_ops),
             "ops": [op[0] for op in self.model_ops],
-            "privacy_changed": self.privacy_changed,
-            "thresholds_changed": self.thresholds_changed,
-            "context_changed": self.context_changed,
-            "federation_changed": self.federation_changed,
             "empty": self.is_empty,
         }
 
@@ -146,6 +124,13 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
     # reference state the removals below would tear down)
     for field, (_, remove) in ROW_OPS.items():
         ops.extend((remove, *row) for row in _rows(field, old, new))
+    # descriptors whose key the new spec drops, dependents first (an
+    # object policy before its purpose, a child purpose before its
+    # parent); a kept key's item is replaced by its set/add op below
+    for field, (_, _, remove, key) in reversed(DESCRIPTOR_OPS.items()):
+        kept = {key(item) for item in getattr(new, field)}
+        ops.extend((remove, *key(item)) for item in reversed(
+            getattr(old, field)) if key(item) not in kept)
     for family, old_fam, new_fam in (("ssd", old.ssd, new.ssd),
                                      ("dsd", old.dsd, new.dsd)):
         stale = _sod_rows(old_fam) - _sod_rows(new_fam)
@@ -194,22 +179,17 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
         if pair not in old.permissions:
             ops.append(("add_permission", *pair))
     for field in ("grants", "scoped_grants", "assignments",
-                  "scoped_assignments"):
+                  "scoped_assignments", "federation_maps"):
         ops.extend((ROW_OPS[field][0], *row)
                    for row in _rows(field, new, old))
+    # new descriptors last (they name the entities above), in
+    # declaration order
+    for field, (_, add, _, _) in DESCRIPTOR_OPS.items():
+        ops.extend((add, *row_of(item)) for item in getattr(new, field)
+                   if item not in getattr(old, field))
 
     # -- rule-relevant role changes (see module docstring)
     for role in sorted(survivors):
         if rule_signature(old, role) != rule_signature(new, role):
             diff.changed_roles.add(role)
-
-    diff.privacy_changed = (
-        old.purposes != new.purposes
-        or old.object_policies != new.object_policies)
-    diff.thresholds_changed = (
-        old.threshold_policies != new.threshold_policies)
-    diff.context_changed = (
-        old.context_constraints != new.context_constraints)
-    diff.federation_changed = (
-        old.federation_maps != new.federation_maps)
     return diff

@@ -22,10 +22,11 @@ versions:
 3. **promote** — once the :class:`RolloutBudget` is satisfied (enough
    comparable samples, divergence and error counts inside budget), the
    delta is applied through the one administrative op table
-   (:meth:`ActiveRBACEngine.apply`: session revocation, SoD enforcement
-   and audit all behave exactly as a hand-applied change would, and an
-   op the live state refuses writes nothing), spec-only descriptors are
-   delta-patched, affected rules are regenerated incrementally
+   (:meth:`ActiveRBACEngine.apply`: session revocation, SoD enforcement,
+   the validator's descriptor checks and audit all behave exactly as a
+   hand-applied change would, and an op the live state refuses writes
+   nothing; extension descriptors are ops like any other), affected
+   rules are regenerated incrementally
    (:func:`~repro.synthesis.regenerate.regenerate_diff` — untouched
    rule objects keep their identity and their quarantine/counter
    state), and the decision plane swaps in **one** epoch bump with an
@@ -69,17 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["PolicyLifecycle", "RolloutBudget", "ShadowComparator",
            "load_version"]
-
-#: spec-only descriptor lists (no model-level op moves them); promotion
-#: and rollback patch these by item delta so policy drift outside the
-#: deployed change is preserved on both legs
-_DESCRIPTOR_ATTRS = (
-    "durations", "enabling_windows", "disabling_sod",
-    "prerequisites", "post_conditions", "transactions",
-    "context_constraints", "purposes", "object_policies",
-    "threshold_policies", "federation_maps",
-)
-
 
 @dataclass(frozen=True)
 class RolloutBudget:
@@ -566,14 +556,16 @@ class PolicyLifecycle:
                      new_spec: "PolicySpec") -> dict[str, Any]:
         """Apply the old→new delta to the live engine.
 
-        Model-level ops go through the engine's one op table
+        Every op, extension descriptors included, goes through the
+        engine's one op table
         (:meth:`~repro.engine.ActiveRBACEngine.apply`), so session
-        revocation, SoD enforcement and audit behave exactly like a
-        hand-applied change; an op the drifted live state no longer
-        accepts is skipped, leaves no trace, and is reported, never
-        fatal.
-        Rules regenerate once, after the descriptor patch, for the
-        roles the diff names; per-op ``policy.epoch`` WAL records are
+        revocation, SoD enforcement, the validator's checks and audit
+        behave exactly like a hand-applied change; an op the drifted
+        live state no longer accepts is skipped, leaves no trace, and
+        is reported, never fatal.  Only the delta moves, so policy
+        drift outside it survives on both legs.
+        Rules regenerate once, after the last op, for the roles the
+        diff names; per-op ``policy.epoch`` WAL records are
         suppressed — the caller logs the one swap record that carries
         the final policy.
         """
@@ -587,38 +579,10 @@ class PolicyLifecycle:
                 skipped.append({"op": op[0],
                                 "args": [repr(a) for a in op[1:]],
                                 "error": str(exc)})
-        self._apply_descriptors(old_spec, new_spec)
-        if diff.privacy_changed:
-            engine._load_privacy()
-        if diff.thresholds_changed:
-            engine.monitor.set_policies(engine.policy.threshold_policies)
         from repro.synthesis.regenerate import regenerate_diff
         report = regenerate_diff(engine, diff)
         return {"diff": diff.summary(), "skipped": skipped,
                 "regenerated": sorted(report.affected_roles)}
-
-    def _apply_descriptors(self, old_spec: "PolicySpec",
-                           new_spec: "PolicySpec") -> None:
-        """Patch spec-only descriptor lists by item delta.
-
-        All descriptors are frozen dataclasses (or plain tuples), so
-        equality-based removal is reliable; items the live policy
-        already dropped are simply absent.
-        """
-        policy = self.engine.policy
-        for attr in _DESCRIPTOR_ATTRS:
-            old_items = getattr(old_spec, attr)
-            new_items = getattr(new_spec, attr)
-            live = getattr(policy, attr)
-            for item in old_items:
-                if item not in new_items:
-                    try:
-                        live.remove(item)
-                    except ValueError:
-                        pass
-            for item in new_items:
-                if item not in old_items and item not in live:
-                    live.append(item)
 
     def _swap(self, op: str, **data: Any) -> dict[str, Any]:
         """The atomic decision-plane swap: one epoch bump, one WAL

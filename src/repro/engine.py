@@ -41,6 +41,7 @@ from repro.errors import (
     DeadlineExceeded,
     DeactivationDenied,
     OperationDenied,
+    PolicyValidationError,
     ReproError,
     RuleExecutionError,
     UnknownRoleError,
@@ -50,7 +51,14 @@ from repro.extensions.context import ContextProvider
 from repro.extensions.privacy import PrivacyRegistry
 from repro.kernel import KERNEL_GRANT, PolicyKernel
 from repro.obs import FlightRecorder, ObsHub
-from repro.policy.spec import PolicySpec, build_model
+from repro.policy.spec import (
+    DESCRIPTOR_OPS,
+    READERS,
+    ROW_OPS,
+    PolicySpec,
+    build_model,
+)
+from repro.policy.validator import item_issues, validate_policy
 from repro.rbac.scopes import SCOPE_ROOT, UnknownScopeError
 from repro.rules.manager import RuleManager
 from repro.rules.rule import RuleOutcome
@@ -176,7 +184,8 @@ class ActiveRBACEngine(EnforcementHelpers):
         #: granted the check in flight (None outside a check)
         self._decision: str | None = None
 
-        self._load_privacy()
+        self.privacy = PrivacyRegistry.of(self.policy.purposes,
+                                          self.policy.object_policies)
 
         # generate the rule pool from the policy
         from repro.synthesis.generator import RuleGenerator
@@ -187,14 +196,6 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.monitor.set_policies(self.policy.threshold_policies)
 
         self.rules.observe(self._record_rule_firing)
-
-    def _load_privacy(self) -> None:
-        """(Re)build the privacy registry from the policy."""
-        self.privacy = PrivacyRegistry()
-        for purpose, parent in self.policy.purposes:
-            self.privacy.purposes.add(purpose, parent)
-        for object_policy in self.policy.object_policies:
-            self.privacy.add_policy(object_policy)
 
     @classmethod
     def from_policy(cls, policy: PolicySpec,
@@ -207,7 +208,6 @@ class ActiveRBACEngine(EnforcementHelpers):
         ...) are forwarded to the constructor.
         """
         if validate:
-            from repro.policy.validator import validate_policy
             validate_policy(policy, raise_on_error=True)
         return cls(policy=policy, clock=clock, **kwargs)
 
@@ -241,7 +241,10 @@ class ActiveRBACEngine(EnforcementHelpers):
         policy.
 
         The op's step runs every guard before its first write, then
-        writes the model.  One tail follows: the same op applied to
+        writes the model; an extension descriptor lives in the policy
+        alone, so a descriptor op's step is its guard (the validator's
+        checks) plus the side effect it needs.  One tail follows: the
+        same op applied to
         ``self.policy`` (:meth:`PolicySpec.apply`), rule regeneration,
         the audit record, and the epoch bump with its WAL record.  A
         raising op writes nothing; an op that leaves the policy as it
@@ -1140,12 +1143,15 @@ _DEASSIGN = _rule("deassignUser")
 # helpers, so audit, the WAL and anchor cleanup all see it.
 
 
-def _delete_user(engine: ActiveRBACEngine, name: str) -> None:
+def _delete_user(engine: ActiveRBACEngine, name: str) -> set[str]:
+    """The roles of the user's own duration constraints regenerate
+    without them."""
     for session_id in engine.model.user_sessions(name):
         engine.commit_session_delete(session_id)
     if name in engine.locked_users:
         engine.unlock_user(name)
     engine.model.delete_user(name)
+    return {d.role for d in engine.policy.durations if d.user == name}
 
 
 def _delete_role(engine: ActiveRBACEngine, name: str) -> set[str]:
@@ -1214,6 +1220,93 @@ def _named(name: str, *_: Any) -> set[str]:
     return {name}
 
 
+# An extension descriptor lives in the policy alone (the generator,
+# the enforcement helpers and the registries read it there), so the
+# tail's PolicySpec.apply is its only write.
+
+
+def _refusing(apply: Callable[..., Any], *args: Any) -> Any:
+    """``apply(*args)``, refusing a descriptor its own type rejects (a
+    role as its own prerequisite, a non-positive duration) like one
+    the validator rejects."""
+    try:
+        return apply(*args)
+    except ValueError as exc:
+        raise PolicyValidationError([str(exc)]) from None
+
+
+def _install_privacy(engine: ActiveRBACEngine, spec: PolicySpec) -> None:
+    engine.privacy = PrivacyRegistry.of(spec.purposes, spec.object_policies)
+
+
+#: registry-backed descriptor lists -> the reseed of their registry
+#: from a spec holding them
+_RESEED = {
+    "purposes": _install_privacy,
+    "object_policies": _install_privacy,
+    "threshold_policies": lambda engine, spec: engine.monitor.set_policies(
+        spec.threshold_policies),
+}
+
+
+def _descriptor(name: str, field: str) -> Callable[..., set[str] | None]:
+    """The step of descriptor op ``name`` on the list ``field``: the op
+    runs on a copy of the list, and the validator's checks of the items
+    it adds are its guard.  A registry-backed list is checked whole and
+    its registry reseeded; otherwise the roles whose rules read an item
+    the op adds or drops regenerate."""
+    def step(engine: ActiveRBACEngine, *args: Any) -> set[str] | None:
+        policy = engine.policy
+        after = PolicySpec(**{f: list(getattr(policy, f)) for f in (
+            _RESEED if field in _RESEED else (field,))})
+        if not _refusing(after.apply, (name, *args)):
+            return None
+        if field in _RESEED:
+            validate_policy(after, raise_on_error=True)
+            _RESEED[field](engine, after)
+            return None
+        before, now = getattr(policy, field), getattr(after, field)
+        added = [item for item in now if item not in before]
+        issues = [issue for item in added
+                  for issue in item_issues(policy, field, item)]
+        if issues:
+            raise PolicyValidationError(issues)
+        readers = READERS.get(field, lambda item: ())
+        return set().union(*map(readers, added), *map(readers, (
+            item for item in before if item not in now)))
+    return step
+
+
+def _clear_enabling_window(engine: ActiveRBACEngine,
+                           role: str) -> set[str] | None:
+    """The role is left enabled, as a policy without the window boots."""
+    roles = _descriptor("clear_enabling_window", "enabling_windows")(
+        engine, role)
+    if roles and not engine.model.is_role_enabled(role):
+        engine.commit_role_enabled(role, True)
+    return roles
+
+
+#: descriptor list -> audit keys naming its ops' leading arguments
+_DESCRIPTOR_AUDIT = {
+    "federation_maps": ("role", "domain", "host_role"),
+    "enabling_windows": ("role",),
+    "durations": ("role",),
+    "disabling_sod": ("name",),
+    "prerequisites": ("role", "prerequisite"),
+    "post_conditions": ("trigger_role", "required_role"),
+    "transactions": ("dependent_role", "anchor_role"),
+    "context_constraints": ("role", "variable"),
+    "purposes": ("purpose", "parent"),
+    "object_policies": ("object", "operation", "purpose"),
+    "threshold_policies": ("name",),
+}
+
+#: descriptor list -> its (add, remove) op names
+_DESCRIPTOR_NAMES = {"federation_maps": ROW_OPS["federation_maps"], **{
+    field: ops[1:3] for field, ops in DESCRIPTOR_OPS.items()}}
+
+
 _GRANT = ("role", "operation", "object")
 
 #: op name -> (step, audit kind, audit keys naming the op's leading
@@ -1256,4 +1349,9 @@ OPS = {
     "deassign_user": (_DEASSIGN, None, ()),
     "deassign_scoped": (_deassign_scoped, "admin.deassign_scope",
                         ("user", "role", "scope")),
+    **{name: (_descriptor(name, field), f"admin.{name}", keys)
+       for field, keys in _DESCRIPTOR_AUDIT.items()
+       for name in _DESCRIPTOR_NAMES[field]},
+    "clear_enabling_window": (_clear_enabling_window,
+                              "admin.clear_enabling_window", ("role",)),
 }

@@ -155,6 +155,17 @@ class PrivacyRegistry:
                 return (True, policy.obligations)
         return (False, ())
 
+    @classmethod
+    def of(cls, purposes: Iterable[tuple[str, str | None]],
+           policies: Iterable[ObjectPolicy]) -> "PrivacyRegistry":
+        """The registry a policy declares: its (purpose, parent) pairs,
+        parents first, and its object policies."""
+        registry = cls()
+        registry.add_purposes(purposes)
+        for policy in policies:
+            registry.add_policy(policy)
+        return registry
+
     def add_purposes(self, pairs: Iterable[tuple[str, str | None]]) -> None:
         """Bulk-add (purpose, parent) pairs, parents first."""
         for purpose, parent in pairs:

@@ -15,7 +15,7 @@ decisions comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.extensions.cfd import (
     PostConditionDependency,
@@ -175,7 +175,7 @@ class PolicySpec:
 
     # -- administrative ops ------------------------------------------------------
 
-    def apply(self, op: tuple) -> None:
+    def apply(self, op: tuple) -> bool:
         """Apply one administrative op ``(name, *args)``: the inverse
         of :func:`~repro.config.differ.diff_specs`.  Unguarded (the
         engine's ``apply`` checks the live model first); adds are
@@ -188,6 +188,7 @@ class PolicySpec:
         self.assignments = [a for a in self.assignments if a[0] != name]
         self.scoped_assignments = [
             a for a in self.scoped_assignments if a[0] != name]
+        self._scrub("user", name)
         return self.users.pop(name, None) is not None
 
     def _deassign(self, user: str, role: str) -> bool:
@@ -195,6 +196,16 @@ class PolicySpec:
         bounded = len(kept) < len(self.scoped_assignments)
         self.scoped_assignments = kept
         return _remover("assignments")(self, user, role) or bounded
+
+    def _scrub(self, kind: str, name: str) -> None:
+        """Drop every descriptor item naming ``name``, a "role" or a
+        "user" by ``kind`` (a role's deletion shrinks disabling-time
+        SoD sets instead)."""
+        for field, names in REFERENCES.items():
+            if field != "disabling_sod":
+                setattr(self, field, [
+                    item for item in getattr(self, field)
+                    if (kind, name) not in [row[:2] for row in names(item)]])
 
     def _delete_role(self, name: str) -> bool:
         """Delete a role and scrub every constraint that mentions it;
@@ -205,21 +216,7 @@ class PolicySpec:
         self.scoped_grants = [g for g in self.scoped_grants if g[0] != name]
         self.scoped_assignments = [
             a for a in self.scoped_assignments if a[1] != name]
-        self.federation_maps = [
-            m for m in self.federation_maps if m[0] != name]
-        self.prerequisites = [p for p in self.prerequisites
-                              if name not in (p.role, p.prerequisite)]
-        self.post_conditions = [
-            p for p in self.post_conditions
-            if name not in (p.trigger_role, p.required_role)]
-        self.transactions = [
-            t for t in self.transactions
-            if name not in (t.dependent_role, t.anchor_role)]
-        self.durations = [d for d in self.durations if d.role != name]
-        self.enabling_windows = [
-            w for w in self.enabling_windows if w.role != name]
-        self.context_constraints = [
-            c for c in self.context_constraints if c.role != name]
+        self._scrub("role", name)
         self.disabling_sod = [
             c if name not in c.roles
             else DisablingTimeSoD(c.name, c.roles - {name}, c.interval)
@@ -250,30 +247,18 @@ class PolicySpec:
 
     def role_constraints_summary(self, role: str) -> dict[str, bool]:
         """The flag vector stored in a Figure 1 role node."""
+        def read(*lists: str) -> bool:
+            return any(role in READERS[name](item)
+                       for name in lists for item in getattr(self, name))
         return {
             "hierarchy": self.role_in_hierarchy(role),
             "static_sod": self.role_in_ssd(role),
             "dynamic_sod": self.role_in_dsd(role),
             "cardinality": self.roles[role].max_active_users is not None,
-            "temporal": any(
-                d.role == role for d in self.durations
-            ) or any(
-                w.role == role for w in self.enabling_windows
-            ) or any(
-                role in s.roles for s in self.disabling_sod
-            ),
-            "cfd": any(
-                p.role == role for p in self.prerequisites
-            ) or any(
-                role in (p.trigger_role, p.required_role)
-                for p in self.post_conditions
-            ) or any(
-                role in (t.dependent_role, t.anchor_role)
-                for t in self.transactions
-            ),
-            "context": any(
-                c.role == role for c in self.context_constraints
-            ),
+            "temporal": read("durations", "enabling_windows",
+                             "disabling_sod"),
+            "cfd": read("prerequisites", "post_conditions", "transactions"),
+            "context": read("context_constraints"),
         }
 
     def clone(self) -> "PolicySpec":
@@ -306,27 +291,43 @@ class PolicySpec:
         )
 
 
-def _adder(field: str):
-    """The spec side of an op whose arguments are one row of ``field``
-    to add (once)."""
-    def add(spec: PolicySpec, *row) -> bool:
-        rows = getattr(spec, field)
-        new = row not in rows
-        if new:
-            rows.append(row)
-        return new
+def row_of(item) -> tuple:
+    """A descriptor item's fields, in order: the arguments of its add
+    op (a tuple row is its own)."""
+    if isinstance(item, tuple):
+        return item
+    return tuple(getattr(item, f.name) for f in fields(item))
+
+
+def _adder(field: str, make=lambda *row: row, key=None):
+    """The spec side of an op that adds the item ``make`` builds from
+    its arguments, once; in a keyed list it replaces the item with its
+    key."""
+    def add(spec: PolicySpec, *args) -> bool:
+        item = make(*args)
+        items = getattr(spec, field)
+        if item in items:
+            return False
+        if key is not None:
+            items[:] = [x for x in items if key(x) != key(item)]
+        items.append(item)
+        return True
     return add
 
 
-def _remover(field: str):
-    """The spec side of an op whose arguments are one row of ``field``
-    to remove (if present)."""
-    def remove(spec: PolicySpec, *row) -> bool:
-        rows = getattr(spec, field)
-        held = row in rows
-        if held:
-            rows.remove(row)
-        return held
+def _remover(field: str, key=None):
+    """The spec side of an op that removes the row its arguments are
+    (or, with ``key``, every item whose key they are), if present."""
+    def remove(spec: PolicySpec, *args) -> bool:
+        items = getattr(spec, field)
+        if key is None:
+            held = args in items
+            if held:
+                items.remove(args)
+            return held
+        count = len(items)
+        items[:] = [x for x in items if key(x) != args]
+        return len(items) < count
     return remove
 
 
@@ -348,12 +349,81 @@ ROW_OPS = {
     "grants": ("grant", "revoke"),
     "scoped_grants": ("grant_scoped", "revoke_scoped"),
     "hierarchy": ("add_inheritance", "delete_inheritance"),
+    "federation_maps": ("add_federation_map", "remove_federation_map"),
+}
+
+#: extension descriptor lists -> (item type, add op, remove op, key).
+#: An add op's arguments are one item's fields in order, and a remove
+#: op's are the item's key: the whole row, or for a keyed list (one
+#: enabling window per role, one duration per role and user, one
+#: disabling-time SoD per name) the key an add replaces.  Dependencies
+#: come first (a purpose before the object policies naming it).
+DESCRIPTOR_OPS = {
+    "enabling_windows": (EnablingWindow, "set_enabling_window",
+                         "clear_enabling_window", lambda w: (w.role,)),
+    "durations": (DurationConstraint, "set_duration", "clear_duration",
+                  lambda d: (d.role, d.user)),
+    "disabling_sod": (DisablingTimeSoD, "add_disabling_sod",
+                      "remove_disabling_sod", lambda c: (c.name,)),
+    "prerequisites": (PrerequisiteRole, "add_prerequisite",
+                      "remove_prerequisite", row_of),
+    "post_conditions": (PostConditionDependency, "add_post_condition",
+                        "remove_post_condition", row_of),
+    "transactions": (TransactionActivation, "add_transaction",
+                     "remove_transaction", row_of),
+    "context_constraints": (ContextConstraint, "add_context_constraint",
+                            "remove_context_constraint", row_of),
+    "purposes": (lambda *row: row, "add_purpose", "remove_purpose",
+                 row_of),
+    "object_policies": (ObjectPolicy, "add_object_policy",
+                        "remove_object_policy", row_of),
+    "threshold_policies": (ThresholdPolicy, "add_threshold_policy",
+                           "remove_threshold_policy", row_of),
+}
+
+#: descriptor list -> the roles whose generated rules read one item
+READERS = {
+    "enabling_windows": lambda w: {w.role},
+    "durations": lambda d: {d.role},
+    "disabling_sod": lambda c: set(c.roles),
+    "prerequisites": lambda p: {p.role},
+    "post_conditions": lambda p: {p.trigger_role, p.required_role},
+    "transactions": lambda t: {t.dependent_role, t.anchor_role},
+    "context_constraints": lambda c: {c.role},
+}
+
+#: descriptor list -> the declarations one item names, as (kind, name,
+#: where) rows: kind "role" or "user", where the subject of the
+#: validator's issue when the name is undeclared
+REFERENCES = {
+    "federation_maps": lambda m: [
+        ("role", m[0], f"federation map to {m[1]!r}")],
+    "prerequisites": lambda p: [("role", p.role, "prerequisite"),
+                                ("role", p.prerequisite, "prerequisite")],
+    "post_conditions": lambda p: [
+        ("role", p.trigger_role, "post-condition"),
+        ("role", p.required_role, "post-condition")],
+    "transactions": lambda t: [
+        ("role", t.dependent_role, "transaction activation"),
+        ("role", t.anchor_role, "transaction activation")],
+    "durations": lambda d: [("role", d.role, "duration constraint")] + (
+        [] if d.user is None else [("user", d.user, "duration constraint")]),
+    "enabling_windows": lambda w: [("role", w.role, "enabling window")],
+    "disabling_sod": lambda c: [
+        ("role", role, f"disabling-time SoD {c.name!r}")
+        for role in sorted(c.roles)],
+    "context_constraints": lambda c: [
+        ("role", c.role, "context constraint")],
 }
 
 #: op name -> the spec side of the op (see :meth:`PolicySpec.apply`)
 _SPEC_OPS = {
     **{add: _adder(field) for field, (add, _) in ROW_OPS.items()},
     **{drop: _remover(field) for field, (_, drop) in ROW_OPS.items()},
+    **{add: _adder(field, make, key)
+       for field, (make, add, _, key) in DESCRIPTOR_OPS.items()},
+    **{drop: _remover(field, key)
+       for field, (_, _, drop, key) in DESCRIPTOR_OPS.items()},
     # a flat deassign also drops the pair's scope bounds
     "deassign_user": PolicySpec._deassign,
     "add_user": _setter("users", PolicySpec.add_user),

@@ -19,7 +19,11 @@ Checks:
   no role is its own partner;
 * temporal sanity — positive durations, non-empty disabling-SoD sets,
   at most one enabling window per role;
-* privacy — object policies reference declared purposes.
+* privacy — purposes are declared once, parents first, and object
+  policies reference declared purposes.
+
+:func:`item_issues` is the descriptor part for one new item; the
+engine's descriptor ops check it before they write.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from repro.errors import PolicyValidationError
-from repro.policy.spec import PolicySpec
+from repro.policy.spec import REFERENCES, PolicySpec
 from repro.rbac.sod import hierarchy_conflicts
 
 
@@ -75,6 +79,39 @@ def _juniors_inclusive(role: str,
         result.add(node)
         queue.extend(down.get(node, ()))
     return result
+
+
+#: descriptor lists that must stay acyclic -> (an item's edge, the
+#: issue text before the cycle)
+ACYCLIC = {
+    "prerequisites": (lambda p: (p.role, p.prerequisite),
+                      "prerequisite roles form a cycle: "),
+    "transactions": (lambda t: (t.dependent_role, t.anchor_role),
+                     "transaction-activation anchors form a cycle: "),
+}
+
+
+def _undeclared(spec: PolicySpec, field: str, item) -> list[str]:
+    """One issue per declaration ``item`` names that ``spec`` lacks."""
+    declared = {"role": spec.roles, "user": spec.users}
+    return [f"{where} references undeclared {kind} {name!r}"
+            for kind, name, where in REFERENCES[field](item)
+            if name not in declared[kind]]
+
+
+def item_issues(spec: PolicySpec, field: str, item) -> list[str]:
+    """What adding ``item`` to ``spec``'s descriptor list ``field``
+    breaks: the declarations it names that ``spec`` lacks, and the
+    cycle it closes in an acyclic list.  :func:`validate_policy` runs
+    the same checks over every item; the engine's descriptor ops run
+    them as their guard."""
+    issues = _undeclared(spec, field, item)
+    if field in ACYCLIC:
+        edge, text = ACYCLIC[field]
+        cycle = _find_cycle([*map(edge, getattr(spec, field)), edge(item)])
+        if cycle:
+            issues.append(text + " -> ".join(cycle))
+    return issues
 
 
 def validate_policy(spec: PolicySpec,
@@ -225,64 +262,34 @@ def validate_policy(spec: PolicySpec,
         known_role(role, "scoped assignment")
         known_scope(scope, f"scoped assignment of {user!r}")
 
-    # -- federation role maps ---------------------------------------------------------
-    for home_role, host_domain, host_role in spec.federation_maps:
-        known_role(home_role, f"federation map to {host_domain!r}")
-
-    # -- control-flow dependencies ------------------------------------------------------
-    for pre in spec.prerequisites:
-        known_role(pre.role, "prerequisite")
-        known_role(pre.prerequisite, "prerequisite")
-    pre_cycle = _find_cycle([
-        (p.role, p.prerequisite) for p in spec.prerequisites
-    ])
-    if pre_cycle:
-        issues.append(
-            "prerequisite roles form a cycle: " + " -> ".join(pre_cycle)
-        )
-    for post in spec.post_conditions:
-        known_role(post.trigger_role, "post-condition")
-        known_role(post.required_role, "post-condition")
-    for txn in spec.transactions:
-        known_role(txn.dependent_role, "transaction activation")
-        known_role(txn.anchor_role, "transaction activation")
-    txn_cycle = _find_cycle([
-        (t.dependent_role, t.anchor_role) for t in spec.transactions
-    ])
-    if txn_cycle:
-        issues.append(
-            "transaction-activation anchors form a cycle: "
-            + " -> ".join(txn_cycle)
-        )
-
-    # -- temporal --------------------------------------------------------------------------
-    for duration in spec.durations:
-        known_role(duration.role, "duration constraint")
-        if duration.user is not None:
-            known_user(duration.user, "duration constraint")
+    # -- extension descriptors: references, then acyclicity ------------------------
+    for field in REFERENCES:
+        for item in getattr(spec, field):
+            issues.extend(_undeclared(spec, field, item))
+    for field, (edge, text) in ACYCLIC.items():
+        cycle = _find_cycle([edge(item) for item in getattr(spec, field)])
+        if cycle:
+            issues.append(text + " -> ".join(cycle))
     window_roles: set[str] = set()
     for window in spec.enabling_windows:
-        known_role(window.role, "enabling window")
         if window.role in window_roles:
             issues.append(
                 f"role {window.role!r} has multiple enabling windows; "
                 "only one is supported (the last declaration wins)"
             )
         window_roles.add(window.role)
-    for sod in spec.disabling_sod:
-        for role in sod.roles:
-            known_role(role, f"disabling-time SoD {sod.name!r}")
 
-    # -- context / privacy -------------------------------------------------------------------
-    for constraint in spec.context_constraints:
-        known_role(constraint.role, "context constraint")
-    declared_purposes = {p for p, _parent in spec.purposes}
+    # -- privacy (parents first, each purpose once) -------------------------------------
+    declared_purposes: set[str] = set()
     for purpose, parent in spec.purposes:
+        if purpose in declared_purposes:
+            issues.append(f"duplicate purpose declaration {purpose!r}")
         if parent is not None and parent not in declared_purposes:
             issues.append(
                 f"purpose {purpose!r} references undeclared parent "
                 f"{parent!r}"
             )
+        declared_purposes.add(purpose)
     for object_policy in spec.object_policies:
         if object_policy.purpose not in declared_purposes:
             issues.append(

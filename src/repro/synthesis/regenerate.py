@@ -20,28 +20,21 @@ B2 and B9:
 
 :class:`PolicyEditor` is the administrator-facing API: each method is
 one high-level policy change (the day-doctor shift change is
-``set_enabling_window``), updating the spec/model, triggering
-incremental regeneration and bumping the policy epoch (WAL-logged),
-and returning a :class:`RegenerationReport`.
+``set_enabling_window``).  Each is one op of the engine's op table,
+the path a config promotion takes too: guarded, regenerated
+incrementally, audited, and ended by one epoch bump (WAL-logged).  It
+returns a :class:`RegenerationReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.extensions.cfd import (
-    PostConditionDependency,
-    PrerequisiteRole,
-    TransactionActivation,
-)
 from repro.extensions.context import ContextConstraint
-from repro.gtrbac.constraints import (
-    DisablingTimeSoD,
-    DurationConstraint,
-    EnablingWindow,
-)
+from repro.gtrbac.constraints import DisablingTimeSoD
 from repro.gtrbac.periodic import PeriodicInterval
+from repro.policy.spec import row_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine import ActiveRBACEngine
@@ -199,90 +192,62 @@ def simulate_manual_edit(engine: "ActiveRBACEngine",
 class PolicyEditor:
     """High-level policy changes with automatic incremental regeneration.
 
-    Static-policy changes (the cardinality setters) are ops of the
-    engine's one op table (:meth:`ActiveRBACEngine.apply
-    <repro.engine.ActiveRBACEngine.apply>`).  The descriptor edits
-    patch the engine's :class:`~repro.policy.spec.PolicySpec` lists,
-    regenerate the affected roles' rules and end in the same epoch/WAL
-    tail as an op, so every edit is durable.  Each returns the
-    regeneration report.
+    Each method is one op of the engine's one op table
+    (:meth:`ActiveRBACEngine.apply <repro.engine.ActiveRBACEngine.apply>`):
+    it checks the validator's rules before it writes, regenerates the
+    rules of the roles it touches, and ends in the epoch/WAL tail, so
+    every edit is guarded, audited and durable.  Each returns the
+    regeneration report (None when the edit changed nothing).
     """
 
     def __init__(self, engine: "ActiveRBACEngine") -> None:
         self.engine = engine
 
-    def _regenerate(self, roles: Iterable[str]) -> RegenerationReport:
-        report = regenerate_roles(self.engine, roles)
-        self.engine._note_policy_change()
-        return report
-
-    def _keep(self, attr: str, keep: Callable[[Any], bool]) -> list:
-        """Filter one descriptor list of the live policy; returns it."""
-        items = [item for item in getattr(self.engine.policy, attr)
-                 if keep(item)]
-        setattr(self.engine.policy, attr, items)
-        return items
-
     # -- temporal ------------------------------------------------------------
 
     def set_enabling_window(self, role: str, interval: PeriodicInterval
-                            ) -> RegenerationReport:
+                            ) -> RegenerationReport | None:
         """Change a role's shift (the paper's day-doctor example)."""
-        self._keep("enabling_windows", lambda w: w.role != role).append(
-            EnablingWindow(role, interval))
-        return self._regenerate({role})
+        return self.engine.apply(("set_enabling_window", role, interval))
 
-    def clear_enabling_window(self, role: str) -> RegenerationReport:
-        self._keep("enabling_windows", lambda w: w.role != role)
-        self.engine.model.set_role_enabled(role, True)
-        return self._regenerate({role})
+    def clear_enabling_window(self, role: str) -> RegenerationReport | None:
+        return self.engine.apply(("clear_enabling_window", role))
 
     def set_duration(self, role: str, delta: float,
-                     user: str | None = None) -> RegenerationReport:
-        self._keep("durations", lambda d: (d.role, d.user) != (role, user)
-                   ).append(DurationConstraint(role, delta, user))
-        return self._regenerate({role})
+                     user: str | None = None) -> RegenerationReport | None:
+        return self.engine.apply(("set_duration", role, delta, user))
 
-    def clear_duration(self, role: str,
-                       user: str | None = None) -> RegenerationReport:
-        self._keep("durations", lambda d: (d.role, d.user) != (role, user))
-        return self._regenerate({role})
+    def clear_duration(self, role: str, user: str | None = None
+                       ) -> RegenerationReport | None:
+        return self.engine.apply(("clear_duration", role, user))
 
     def add_disabling_sod(self, constraint: DisablingTimeSoD
-                          ) -> RegenerationReport:
-        self.engine.policy.disabling_sod.append(constraint)
-        return self._regenerate(set(constraint.roles))
+                          ) -> RegenerationReport | None:
+        return self.engine.apply(("add_disabling_sod", *row_of(constraint)))
 
-    def remove_disabling_sod(self, name: str) -> RegenerationReport:
-        roles = set().union(*(c.roles for c in self.engine.policy
-                              .disabling_sod if c.name == name))
-        self._keep("disabling_sod", lambda c: c.name != name)
-        return self._regenerate(roles)
+    def remove_disabling_sod(self, name: str) -> RegenerationReport | None:
+        return self.engine.apply(("remove_disabling_sod", name))
 
     # -- control-flow dependencies -----------------------------------------------
 
     def add_prerequisite(self, role: str, prerequisite: str
-                         ) -> RegenerationReport:
-        self.engine.policy.prerequisites.append(
-            PrerequisiteRole(role, prerequisite))
-        return self._regenerate({role})
+                         ) -> RegenerationReport | None:
+        return self.engine.apply(("add_prerequisite", role, prerequisite))
 
     def add_post_condition(self, trigger_role: str, required_role: str
-                           ) -> RegenerationReport:
-        self.engine.policy.post_conditions.append(
-            PostConditionDependency(trigger_role, required_role))
-        return self._regenerate({trigger_role, required_role})
+                           ) -> RegenerationReport | None:
+        return self.engine.apply(
+            ("add_post_condition", trigger_role, required_role))
 
     def add_transaction(self, dependent_role: str, anchor_role: str
-                        ) -> RegenerationReport:
-        self.engine.policy.transactions.append(
-            TransactionActivation(dependent_role, anchor_role))
-        return self._regenerate({dependent_role, anchor_role})
+                        ) -> RegenerationReport | None:
+        return self.engine.apply(
+            ("add_transaction", dependent_role, anchor_role))
 
     # -- cardinality ----------------------------------------------------------------
 
     def set_role_cardinality(self, role: str, max_users: int | None
-                             ) -> RegenerationReport:
+                             ) -> RegenerationReport | None:
         return self.engine.apply(("set_role_cardinality", role, max_users))
 
     def set_user_max_roles(self, user: str, max_roles: int | None) -> None:
@@ -293,6 +258,6 @@ class PolicyEditor:
     # -- context ---------------------------------------------------------------------
 
     def add_context_constraint(self, constraint: ContextConstraint
-                               ) -> RegenerationReport:
-        self.engine.policy.context_constraints.append(constraint)
-        return self._regenerate({constraint.role})
+                               ) -> RegenerationReport | None:
+        return self.engine.apply(
+            ("add_context_constraint", *row_of(constraint)))

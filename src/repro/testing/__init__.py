@@ -6,8 +6,9 @@ demo; it lives in the package (not under ``tests/``) so downstream
 users can chaos-test their own policies.  :mod:`repro.testing.load`
 is the HTTP load and chaos client that replays a service plan (and a
 :class:`~repro.testing.faults.NetFaultPlan`) against a running
-``repro-rbac serve``.  Neither is imported here, so loading one does
-not load the other.
+``repro-rbac serve``, and :mod:`repro.testing.serve` launches and
+drains that server as a subprocess.  None of them is imported here,
+so loading one does not load another.
 """
 
 from repro.testing.faults import FaultInjector

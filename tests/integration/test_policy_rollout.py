@@ -25,7 +25,7 @@ from repro.config import (
 )
 from repro.config.lifecycle import load_version
 from repro.config.replay import diff_streams
-from repro.errors import AdministrationError
+from repro.errors import AdministrationError, ReproError
 from repro.serve.shard import LIFECYCLE_OPS, ShardRouter
 from repro.wal import Durability, read_wal, recover
 
@@ -200,6 +200,34 @@ class TestGuardDemo:
         assert recovered.config_version == 2
         assert recovered.policy_epoch == engine.policy_epoch
         assert ("doctor", "read", "chart") in recovered.policy.grants
+
+
+class TestDescriptorRollout:
+    def test_dropping_a_closed_window_matches_a_fresh_boot(self):
+        """Promoting a config that drops a role's enabling window while
+        the window is closed leaves the role as a fresh boot of that
+        config has it: enabled, and activatable."""
+        windowed = BASE.replace(
+            "assign bob to nurse;",
+            "assign bob to nurse;\n  enable nurse daily 09:00 to 17:00;")
+        engine = ActiveRBACEngine.from_policy(parse_policy(windowed))
+        assert not engine.model.is_role_enabled("nurse")  # 00:00
+        lifecycle = PolicyLifecycle(engine)
+        lifecycle.adopt(1)
+        lifecycle.stage(ConfigSet.from_spec(parse_policy(BASE), 2))
+        lifecycle.promote(force=True)
+        fresh = ActiveRBACEngine.from_policy(parse_policy(BASE))
+
+        def activates(live):
+            try:
+                live.add_active_role(live.create_session("bob"), "nurse")
+            except ReproError:
+                return False
+            return True
+
+        assert engine.model.is_role_enabled("nurse") \
+            == fresh.model.is_role_enabled("nurse") is True
+        assert activates(engine) == activates(fresh) is True
 
 
 class TestDeterministicReplay:

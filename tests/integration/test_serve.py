@@ -11,12 +11,7 @@ a real subprocess).
 
 import asyncio
 import json
-import os
 import pathlib
-import signal
-import subprocess
-import sys
-import time
 
 import pytest
 
@@ -25,6 +20,7 @@ from repro.federation import RoleMapping
 from repro.kernel import KERNEL_DENY, KERNEL_GRANT
 from repro.serve import ServeApp, ShardRouter
 from repro.testing.load import HttpClient
+from repro.testing.serve import drain, launch
 from repro.wal import Durability, read_wal
 from repro.workloads import generate_fleet
 
@@ -386,19 +382,10 @@ class TestSigterm:
             (role, operation, obj) for role in sorted(spec.roles)
             for operation, obj in spec.permissions
             if (role, operation, obj) not in spec.grants)
-        env = dict(os.environ)
-        repo_src = str(pathlib.Path(__file__).resolve()
-                       .parents[2] / "src")
-        env["PYTHONPATH"] = repo_src
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--synthetic", "2", "--users", "40", "--roles", "10",
-             "--seed", "7",
-             "--port", "0", "--port-file", str(port_file),
-             "--wal", str(wal_dir),
-             "--flightrec-dir", str(flight_dir)],
-            env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT, text=True)
+        proc, port = launch(port_file, [
+            "--synthetic", "2", "--users", "40", "--roles", "10",
+            "--seed", "7", "--wal", str(wal_dir),
+            "--flightrec-dir", str(flight_dir)], timeout=30)
 
         async def grant(port):
             client = HttpClient("127.0.0.1", port)
@@ -411,15 +398,8 @@ class TestSigterm:
                 await client.close()
 
         try:
-            deadline = time.monotonic() + 30
-            while not port_file.exists():
-                assert proc.poll() is None, proc.stdout.read()
-                assert time.monotonic() < deadline, "server never bound"
-                time.sleep(0.05)
-            status, swap = asyncio.run(
-                grant(int(port_file.read_text().strip())))
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=30)
+            status, swap = asyncio.run(grant(port))
+            out, summary = drain(proc)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -429,10 +409,7 @@ class TestSigterm:
         assert proc.returncode == 0, out
         # the readiness signal must not outlive the process
         assert not port_file.exists()
-        lines = [line for line in out.splitlines()
-                 if line.startswith("shutdown: ")]
-        assert lines, out
-        summary = json.loads(lines[-1].removeprefix("shutdown: "))
+        assert summary is not None, out
         assert summary["drained"] is True
         # the grant's record sat in shard00's group-commit batch until
         # shutdown fsynced it

@@ -2,16 +2,18 @@
 
 Random sequences mix the ``POST /v1/admin`` wire ops (through
 :meth:`Shard.admin_op <repro.serve.shard.Shard.admin_op>`) with the
-config differ's ops (through :meth:`ActiveRBACEngine.apply
-<repro.engine.ActiveRBACEngine.apply>`), over small name universes that
-include unknown users, roles and scopes, so many ops must fail.  After
-every op:
+config differ's ops, extension descriptor ops included (through
+:meth:`ActiveRBACEngine.apply <repro.engine.ActiveRBACEngine.apply>`),
+over small name universes that include unknown users, roles, scopes
+and purposes, so many ops must fail.  After every op:
 
 * **a raising op writes nothing** — ``persistence.snapshot(engine)``
   (apart from its id counters and clock tiebreak) and the model view
   are exactly as before, and the policy epoch did not move;
 * **one source of truth** — the model view equals the view of an engine
   rebuilt from ``render_policy(engine.policy)``;
+* **the validator accepts the policy** — ``validate_policy`` reports
+  no issue;
 * **explain agrees with the check** on a fixed probe grid, for every
   live session once the sequence has run.
 
@@ -22,7 +24,7 @@ if and only if it changed the rendered policy.
 A round-trip property pins the differ and the spec side of the ops
 against each other: applying ``diff_specs(old, new).model_ops`` to
 ``old.clone()`` through :meth:`PolicySpec.apply` gives ``new`` on every
-field the differ covers.
+field the differ covers, extension descriptors included.
 """
 
 from __future__ import annotations
@@ -36,8 +38,23 @@ from repro import ActiveRBACEngine, parse_policy, persistence
 from repro.config.differ import diff_specs
 from repro.engine import OPS
 from repro.errors import ReproError
+from repro.extensions.cfd import (
+    PostConditionDependency,
+    PrerequisiteRole,
+    TransactionActivation,
+)
+from repro.extensions.context import ContextConstraint, ContextOp
+from repro.extensions.privacy import ObjectPolicy
+from repro.gtrbac.constraints import (
+    DisablingTimeSoD,
+    DurationConstraint,
+    EnablingWindow,
+)
+from repro.gtrbac.periodic import PeriodicInterval
 from repro.policy.dsl import render_policy
-from repro.policy.spec import PolicySpec
+from repro.policy.spec import DESCRIPTOR_OPS, PolicySpec
+from repro.policy.validator import validate_policy
+from repro.security.monitor import ThresholdPolicy
 from repro.serve.shard import Shard
 
 BASE = """
@@ -52,6 +69,9 @@ policy ops {
   grant write on doc to R3 in s0;
   assign u0 to R1;
   assign u1 to R0 in s0;
+  enable R2 daily 09:00 to 17:00;
+  duration R1 60 for u0;
+  purpose care;
 }
 """
 
@@ -69,6 +89,14 @@ P = [("read", "doc"), ("write", "doc"), ("read", "log")]
 L = _col(None, 1, 2)
 SOD = [(frozenset(pair),) for pair in combinations(["R0", "R1", "R2", "R3",
                                                      "R9"], 2)]
+WINDOWS = _col(PeriodicInterval.daily("09:00", "17:00"),
+               PeriodicInterval.daily("00:00", "12:00"))
+CONTEXT = [("net", ContextOp.EQ, "secure", applies)
+           for applies in ("activate", "access")]
+PURPOSES = _col("care", "care.x", "ops")
+OBJECT_POLICY = (_col("doc"), _col("read"), PURPOSES, _col((), ("notify",)))
+THRESHOLD = (_col("T1", "T2"),
+             [("accessDenied", "user", 3, 60.0, (), (), False, None)])
 
 #: argument columns per op-table name: an op is its name followed by
 #: one row of each column, as the differ emits them
@@ -88,6 +116,23 @@ DOMAINS = {
     "remove_scope": (S,),
     "assign_user": (U, R), "assign_scoped": (U, R, S),
     "deassign_user": (U, R), "deassign_scoped": (U, R, S),
+    "add_federation_map": (R, _col("lab"), _col("Visitor")),
+    "remove_federation_map": (R, _col("lab"), _col("Visitor")),
+    "set_enabling_window": (R, WINDOWS), "clear_enabling_window": (R,),
+    "set_duration": (R, _col(60.0, 90.0), _col(None, "u0", "ghost")),
+    "clear_duration": (R, _col(None, "u0")),
+    "add_disabling_sod": (_col("T", "T2"), SOD, WINDOWS),
+    "remove_disabling_sod": (_col("T", "T2"),),
+    "add_prerequisite": (R, R), "remove_prerequisite": (R, R),
+    "add_post_condition": (R, R), "remove_post_condition": (R, R),
+    "add_transaction": (R, R), "remove_transaction": (R, R),
+    "add_context_constraint": (R, CONTEXT),
+    "remove_context_constraint": (R, CONTEXT),
+    "add_purpose": (PURPOSES, _col(None, "care", "nowhere")),
+    "remove_purpose": (PURPOSES, _col(None, "care")),
+    "add_object_policy": OBJECT_POLICY,
+    "remove_object_policy": OBJECT_POLICY,
+    "add_threshold_policy": THRESHOLD, "remove_threshold_policy": THRESHOLD,
 }
 
 
@@ -194,7 +239,8 @@ def test_generators_cover_the_op_table():
 
 def check_op(engine: ActiveRBACEngine, shard: Shard, step: tuple) -> None:
     """Run one step; a raising step must leave no trace, and either
-    way the model must equal the one its policy rebuilds."""
+    way the model must equal the one its policy rebuilds, and the
+    validator must accept the policy."""
     before_state, before_view = frozen_state(engine), model_view(engine)
     try:
         run_step(engine, shard, step)
@@ -203,6 +249,7 @@ def check_op(engine: ActiveRBACEngine, shard: Shard, step: tuple) -> None:
         assert model_view(engine) == before_view, step
     rebuilt = ActiveRBACEngine(parse_policy(render_policy(engine.policy)))
     assert model_view(rebuilt) == model_view(engine), step
+    assert validate_policy(engine.policy) == [], step
 
 
 def test_every_single_op_from_the_base_state():
@@ -294,7 +341,52 @@ def specs(draw) -> PolicySpec:
                     spec.add_scoped_assignment(user, role, scope)
             else:
                 spec.add_assignment(user, role)
+    if roles:
+        descriptors(draw, spec, roles)
     return spec
+
+
+def descriptors(draw, spec: PolicySpec, roles: list[str]) -> None:
+    """Extension descriptors over ``roles``: one enabling window per
+    role, one duration per role and user, one disabling-time SoD per
+    name, and purposes declared parents first."""
+    role = st.sampled_from(roles)
+    pairs = st.lists(st.tuples(role, role).filter(lambda p: p[0] != p[1]),
+                     unique=True, max_size=2)
+    window = st.sampled_from([w for (w,) in WINDOWS])
+    for name in draw(st.lists(role, unique=True, max_size=2)):
+        spec.enabling_windows.append(EnablingWindow(name, draw(window)))
+    for name in draw(st.lists(role, unique=True, max_size=2)):
+        spec.durations.append(DurationConstraint(
+            name, draw(st.sampled_from([60.0, 90.0])),
+            draw(st.sampled_from([None, *spec.users]))))
+    for name, applies in draw(st.lists(st.tuples(role, st.sampled_from(
+            ["activate", "access"])), unique=True, max_size=2)):
+        spec.context_constraints.append(ContextConstraint(
+            name, "net", ContextOp.EQ, "secure", applies))
+    if len(roles) >= 2:
+        for kind, field in ((PrerequisiteRole, "prerequisites"),
+                            (PostConditionDependency, "post_conditions"),
+                            (TransactionActivation, "transactions")):
+            getattr(spec, field).extend(kind(*pair) for pair in draw(pairs))
+        for name in draw(st.lists(st.sampled_from(["T", "T2"]),
+                                  unique=True)):
+            spec.disabling_sod.append(DisablingTimeSoD(
+                name, draw(st.frozensets(role, min_size=2)), draw(window)))
+    spec.federation_maps.extend(
+        (name, "lab", "Visitor")
+        for name in draw(st.lists(role, unique=True, max_size=2)))
+    for purpose, parent in (("care", None), ("care.x", "care"),
+                            ("ops", None)):
+        if draw(st.booleans()) and (parent is None
+                                    or (parent, None) in spec.purposes):
+            spec.purposes.append((purpose, parent))
+    for purpose, _parent in spec.purposes:
+        if draw(st.booleans()):
+            spec.object_policies.append(ObjectPolicy("doc", "read", purpose))
+    for name in draw(st.lists(st.sampled_from(["T1", "T2"]), unique=True)):
+        spec.threshold_policies.append(ThresholdPolicy(
+            name, threshold=draw(st.sampled_from([3, 5]))))
 
 
 def covered(spec: PolicySpec) -> dict:
@@ -307,6 +399,8 @@ def covered(spec: PolicySpec) -> dict:
         "assignments": set(spec.assignments),
         "scoped_assignments": set(spec.scoped_assignments),
         "scopes": set(spec.scopes),
+        **{field: set(getattr(spec, field))
+           for field in ("federation_maps", *DESCRIPTOR_OPS)},
     }
 
 

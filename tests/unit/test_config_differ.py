@@ -90,8 +90,8 @@ class TestDiffSpecs:
         new = spec()
         new.purposes.append(("ops", None))
         diff = diff_specs(spec(), new)
-        assert diff.privacy_changed
-        assert not diff.thresholds_changed
+        assert ("add_purpose", "ops", None) in diff.model_ops
+        assert not any("threshold" in op[0] for op in diff.model_ops)
 
 
 class TestRuleSignature:

@@ -197,3 +197,43 @@ class TestPolicyEditor:
         editor.add_context_constraint(ContextConstraint(
             "C", "location", ContextOp.EQ, "office"))
         assert "contextConstraints" in engine.rules.get("AAR1.C").render()
+
+
+class TestGuardedEdits:
+    """A descriptor edit is an op of the engine's op table: the
+    validator's checks guard it, a refused edit leaves no trace, and a
+    repeated one changes nothing and costs no epoch."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda ed: ed.add_prerequisite("ghost", "A"),
+        lambda ed: ed.add_transaction("C", "ghost"),
+        lambda ed: ed.set_duration("ghost", 60.0),
+        lambda ed: ed.set_duration("C", 60.0, "ghost"),
+    ], ids=["prerequisite", "transaction", "duration-role",
+            "duration-user"])
+    def test_unknown_name_is_refused_untouched(self, engine, edit):
+        from repro import persistence
+        from repro.errors import PolicyValidationError
+        from repro.policy.validator import validate_policy
+        before, epoch = persistence.snapshot(engine), engine.policy_epoch
+        with pytest.raises(PolicyValidationError, match="undeclared"):
+            edit(PolicyEditor(engine))
+        assert persistence.snapshot(engine) == before
+        assert engine.policy_epoch == epoch
+        assert validate_policy(engine.policy) == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda ed: ed.add_prerequisite("C", "D"),
+        lambda ed: ed.add_transaction("C", "D"),
+        lambda ed: ed.set_duration("C", 60.0),
+        lambda ed: ed.set_enabling_window(
+            "C", PeriodicInterval.daily("08:00", "16:00")),
+    ], ids=["prerequisite", "transaction", "duration", "window"])
+    def test_repeated_edit_changes_nothing(self, engine, edit):
+        from repro import persistence
+        editor = PolicyEditor(engine)
+        edit(editor)
+        before, epoch = persistence.snapshot(engine), engine.policy_epoch
+        assert edit(editor) is None
+        assert persistence.snapshot(engine) == before
+        assert engine.policy_epoch == epoch

@@ -315,8 +315,9 @@ class TestConfigPipeline:
         new = old.clone()
         new.add_federation_map("Auditor", "lab", "Visitor")
         diff = diff_specs(old, new)
-        assert diff.federation_changed
-        assert not diff_specs(old, old.clone()).federation_changed
+        assert ("add_federation_map", "Auditor", "lab", "Visitor") \
+            in diff.model_ops
+        assert not diff_specs(old, old.clone()).model_ops
 
 
 HOME = """
