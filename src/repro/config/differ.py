@@ -31,13 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.policy.spec import (
-    DESCRIPTOR_OPS,
-    READERS,
-    ROW_OPS,
-    PolicySpec,
-    row_of,
-)
+from repro.policy.spec import DESCRIPTOR_OPS, ROW_OPS, PolicySpec, row_of
 
 __all__ = ["ConfigDiff", "diff_specs", "rule_signature"]
 
@@ -54,8 +48,9 @@ def rule_signature(spec: PolicySpec, role: str) -> tuple:
         spec.roles[role].max_active_users if role in spec.roles else None,
         # the extension descriptors the role's rules read
         *(frozenset(item for item in getattr(spec, field)
-                    if role in readers(item))
-          for field, readers in READERS.items()),
+                    if role in descriptor.readers(item))
+          for field, descriptor in DESCRIPTOR_OPS.items()
+          if descriptor.readers),
     )
 
 
@@ -108,6 +103,26 @@ def _rows(field: str, a: PolicySpec, b: PolicySpec) -> list[tuple]:
     return sorted(set(getattr(a, field)) - set(getattr(b, field)))
 
 
+def _dropped(old: PolicySpec, new: PolicySpec) -> dict[str, list]:
+    """Descriptor list -> the items of ``old`` the delta removes: those
+    whose key ``new`` lacks, and every purpose below a dropped purpose
+    and every object policy naming one.  A re-parented purpose is a
+    new row, so it and its dependents are removed and re-added."""
+    dropped = {}
+    for field, descriptor in DESCRIPTOR_OPS.items():
+        kept = set(map(descriptor.key, getattr(new, field)))
+        dropped[field] = [item for item in getattr(old, field)
+                          if descriptor.key(item) not in kept]
+    gone: set[str] = set()
+    for purpose, parent in old.purposes:  # parents first
+        if (purpose, parent) in dropped["purposes"] or parent in gone:
+            gone.add(purpose)
+    dropped["purposes"] = [p for p in old.purposes if p[0] in gone]
+    dropped["object_policies"] += [o for o in old.object_policies
+                                   if o.purpose in gone]
+    return dropped
+
+
 def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
     """Compute the deployment delta from ``old`` to ``new``."""
     diff = ConfigDiff()
@@ -124,13 +139,14 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
     # reference state the removals below would tear down)
     for field, (_, remove) in ROW_OPS.items():
         ops.extend((remove, *row) for row in _rows(field, old, new))
-    # descriptors whose key the new spec drops, dependents first (an
-    # object policy before its purpose, a child purpose before its
-    # parent); a kept key's item is replaced by its set/add op below
-    for field, (_, _, remove, key) in reversed(DESCRIPTOR_OPS.items()):
-        kept = {key(item) for item in getattr(new, field)}
-        ops.extend((remove, *key(item)) for item in reversed(
-            getattr(old, field)) if key(item) not in kept)
+    # dropped descriptors, dependents first (an object policy before
+    # its purpose, a child purpose before its parent); a kept key's
+    # item is replaced by its set/add op below
+    dropped = _dropped(old, new)
+    for field, descriptor in reversed(DESCRIPTOR_OPS.items()):
+        ops.extend((descriptor.remove, *descriptor.key(item))
+                   for item in reversed(getattr(old, field))
+                   if item in dropped[field])
     for family, old_fam, new_fam in (("ssd", old.ssd, new.ssd),
                                      ("dsd", old.dsd, new.dsd)):
         stale = _sod_rows(old_fam) - _sod_rows(new_fam)
@@ -179,14 +195,16 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
         if pair not in old.permissions:
             ops.append(("add_permission", *pair))
     for field in ("grants", "scoped_grants", "assignments",
-                  "scoped_assignments", "federation_maps"):
+                  "scoped_assignments"):
         ops.extend((ROW_OPS[field][0], *row)
                    for row in _rows(field, new, old))
     # new descriptors last (they name the entities above), in
     # declaration order
-    for field, (_, add, _, _) in DESCRIPTOR_OPS.items():
-        ops.extend((add, *row_of(item)) for item in getattr(new, field)
-                   if item not in getattr(old, field))
+    for field, descriptor in DESCRIPTOR_OPS.items():
+        kept = [item for item in getattr(old, field)
+                if item not in dropped[field]]
+        ops.extend((descriptor.add, *row_of(item))
+                   for item in getattr(new, field) if item not in kept)
 
     # -- rule-relevant role changes (see module docstring)
     for role in sorted(survivors):

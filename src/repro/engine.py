@@ -51,14 +51,8 @@ from repro.extensions.context import ContextProvider
 from repro.extensions.privacy import PrivacyRegistry
 from repro.kernel import KERNEL_GRANT, PolicyKernel
 from repro.obs import FlightRecorder, ObsHub
-from repro.policy.spec import (
-    DESCRIPTOR_OPS,
-    READERS,
-    ROW_OPS,
-    PolicySpec,
-    build_model,
-)
-from repro.policy.validator import item_issues, validate_policy
+from repro.policy.spec import DESCRIPTOR_OPS, PolicySpec, build_model
+from repro.policy.validator import descriptor_issues, validate_policy
 from repro.rbac.scopes import SCOPE_ROOT, UnknownScopeError
 from repro.rules.manager import RuleManager
 from repro.rules.rule import RuleOutcome
@@ -1220,28 +1214,25 @@ def _named(name: str, *_: Any) -> set[str]:
     return {name}
 
 
-# An extension descriptor lives in the policy alone (the generator,
-# the enforcement helpers and the registries read it there), so the
-# tail's PolicySpec.apply is its only write.
-
-
-def _refusing(apply: Callable[..., Any], *args: Any) -> Any:
-    """``apply(*args)``, refusing a descriptor its own type rejects (a
-    role as its own prerequisite, a non-positive duration) like one
-    the validator rejects."""
-    try:
-        return apply(*args)
-    except ValueError as exc:
-        raise PolicyValidationError([str(exc)]) from None
+def _enable_unwindowed(engine: ActiveRBACEngine, spec: PolicySpec) -> None:
+    """A role whose enabling window the op clears is left enabled, as
+    a policy without the window boots."""
+    windowed = {window.role for window in spec.enabling_windows}
+    for window in engine.policy.enabling_windows:
+        if (window.role not in windowed
+                and not engine.model.is_role_enabled(window.role)):
+            engine.commit_role_enabled(window.role, True)
 
 
 def _install_privacy(engine: ActiveRBACEngine, spec: PolicySpec) -> None:
     engine.privacy = PrivacyRegistry.of(spec.purposes, spec.object_policies)
 
 
-#: registry-backed descriptor lists -> the reseed of their registry
-#: from a spec holding them
-_RESEED = {
+#: descriptor list -> what an op on it does beyond the policy, given
+#: the descriptor lists the op leaves: a cleared window re-enables its
+#: role, and a registry-backed list reseeds its registry
+_EFFECTS = {
+    "enabling_windows": _enable_unwindowed,
     "purposes": _install_privacy,
     "object_policies": _install_privacy,
     "threshold_policies": lambda engine, spec: engine.monitor.set_policies(
@@ -1250,61 +1241,36 @@ _RESEED = {
 
 
 def _descriptor(name: str, field: str) -> Callable[..., set[str] | None]:
-    """The step of descriptor op ``name`` on the list ``field``: the op
-    runs on a copy of the list, and the validator's checks of the items
-    it adds are its guard.  A registry-backed list is checked whole and
-    its registry reseeded; otherwise the roles whose rules read an item
-    the op adds or drops regenerate."""
+    """The step of descriptor op ``name`` on the list ``field``.  A
+    descriptor lives in the policy alone (the generator, the
+    enforcement helpers and the registries read it there), so the
+    tail's PolicySpec.apply is its only write; the step runs the op on
+    a copy of the descriptor lists, and the validator's descriptor
+    checks of the copy (and the item types' own, for a role as its own
+    prerequisite or a non-positive duration) are its guard.  Returns
+    the roles whose rules read an item the op adds or drops."""
+    readers = DESCRIPTOR_OPS[field].readers
+
     def step(engine: ActiveRBACEngine, *args: Any) -> set[str] | None:
         policy = engine.policy
-        after = PolicySpec(**{f: list(getattr(policy, f)) for f in (
-            _RESEED if field in _RESEED else (field,))})
-        if not _refusing(after.apply, (name, *args)):
-            return None
-        if field in _RESEED:
-            validate_policy(after, raise_on_error=True)
-            _RESEED[field](engine, after)
-            return None
-        before, now = getattr(policy, field), getattr(after, field)
-        added = [item for item in now if item not in before]
-        issues = [issue for item in added
-                  for issue in item_issues(policy, field, item)]
+        after = PolicySpec(roles=policy.roles, users=policy.users, **{
+            f: list(getattr(policy, f)) for f in DESCRIPTOR_OPS})
+        try:
+            if not after.apply((name, *args)):
+                return None
+        except ValueError as exc:
+            raise PolicyValidationError([str(exc)]) from None
+        issues = descriptor_issues(after)
         if issues:
             raise PolicyValidationError(issues)
-        readers = READERS.get(field, lambda item: ())
-        return set().union(*map(readers, added), *map(readers, (
-            item for item in before if item not in now)))
+        if field in _EFFECTS:
+            _EFFECTS[field](engine, after)
+        if readers is None:
+            return None
+        before, now = getattr(policy, field), getattr(after, field)
+        return set().union(*(readers(item) for item in (*before, *now)
+                             if (item in before) != (item in now)))
     return step
-
-
-def _clear_enabling_window(engine: ActiveRBACEngine,
-                           role: str) -> set[str] | None:
-    """The role is left enabled, as a policy without the window boots."""
-    roles = _descriptor("clear_enabling_window", "enabling_windows")(
-        engine, role)
-    if roles and not engine.model.is_role_enabled(role):
-        engine.commit_role_enabled(role, True)
-    return roles
-
-
-#: descriptor list -> audit keys naming its ops' leading arguments
-_DESCRIPTOR_AUDIT = {
-    "federation_maps": ("role", "domain", "host_role"),
-    "enabling_windows": ("role",),
-    "durations": ("role",),
-    "disabling_sod": ("name",),
-    "prerequisites": ("role", "prerequisite"),
-    "post_conditions": ("trigger_role", "required_role"),
-    "transactions": ("dependent_role", "anchor_role"),
-    "context_constraints": ("role", "variable"),
-    "purposes": ("purpose", "parent"),
-    "object_policies": ("object", "operation", "purpose"),
-    "threshold_policies": ("name",),
-}
-
-#: descriptor list -> its (add, remove) op names
-_DESCRIPTOR_NAMES = {"federation_maps": ROW_OPS["federation_maps"], **{
-    field: ops[1:3] for field, ops in DESCRIPTOR_OPS.items()}}
 
 
 _GRANT = ("role", "operation", "object")
@@ -1349,9 +1315,7 @@ OPS = {
     "deassign_user": (_DEASSIGN, None, ()),
     "deassign_scoped": (_deassign_scoped, "admin.deassign_scope",
                         ("user", "role", "scope")),
-    **{name: (_descriptor(name, field), f"admin.{name}", keys)
-       for field, keys in _DESCRIPTOR_AUDIT.items()
-       for name in _DESCRIPTOR_NAMES[field]},
-    "clear_enabling_window": (_clear_enabling_window,
-                              "admin.clear_enabling_window", ("role",)),
+    **{name: (_descriptor(name, field), f"admin.{name}", descriptor.audit)
+       for field, descriptor in DESCRIPTOR_OPS.items()
+       for name in (descriptor.add, descriptor.remove)},
 }

@@ -16,6 +16,7 @@ decisions comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable
 
 from repro.extensions.cfd import (
     PostConditionDependency,
@@ -201,11 +202,11 @@ class PolicySpec:
         """Drop every descriptor item naming ``name``, a "role" or a
         "user" by ``kind`` (a role's deletion shrinks disabling-time
         SoD sets instead)."""
-        for field, names in REFERENCES.items():
+        for field, d in DESCRIPTOR_OPS.items():
             if field != "disabling_sod":
                 setattr(self, field, [
-                    item for item in getattr(self, field)
-                    if (kind, name) not in [row[:2] for row in names(item)]])
+                    item for item in getattr(self, field) if (kind, name)
+                    not in [row[:2] for row in d.references(item)]])
 
     def _delete_role(self, name: str) -> bool:
         """Delete a role and scrub every constraint that mentions it;
@@ -248,7 +249,7 @@ class PolicySpec:
     def role_constraints_summary(self, role: str) -> dict[str, bool]:
         """The flag vector stored in a Figure 1 role node."""
         def read(*lists: str) -> bool:
-            return any(role in READERS[name](item)
+            return any(role in DESCRIPTOR_OPS[name].readers(item)
                        for name in lists for item in getattr(self, name))
         return {
             "hierarchy": self.role_in_hierarchy(role),
@@ -277,17 +278,7 @@ class PolicySpec:
             scopes=list(self.scopes),
             scoped_grants=list(self.scoped_grants),
             scoped_assignments=list(self.scoped_assignments),
-            federation_maps=list(self.federation_maps),
-            prerequisites=list(self.prerequisites),
-            post_conditions=list(self.post_conditions),
-            transactions=list(self.transactions),
-            durations=list(self.durations),
-            enabling_windows=list(self.enabling_windows),
-            disabling_sod=list(self.disabling_sod),
-            context_constraints=list(self.context_constraints),
-            purposes=list(self.purposes),
-            object_policies=list(self.object_policies),
-            threshold_policies=list(self.threshold_policies),
+            **{f: list(getattr(self, f)) for f in DESCRIPTOR_OPS},
         )
 
 
@@ -349,81 +340,107 @@ ROW_OPS = {
     "grants": ("grant", "revoke"),
     "scoped_grants": ("grant_scoped", "revoke_scoped"),
     "hierarchy": ("add_inheritance", "delete_inheritance"),
-    "federation_maps": ("add_federation_map", "remove_federation_map"),
 }
 
-#: extension descriptor lists -> (item type, add op, remove op, key).
-#: An add op's arguments are one item's fields in order, and a remove
-#: op's are the item's key: the whole row, or for a keyed list (one
-#: enabling window per role, one duration per role and user, one
-#: disabling-time SoD per name) the key an add replaces.  Dependencies
-#: come first (a purpose before the object policies naming it).
+
+@dataclass(frozen=True)
+class Descriptor:
+    """One extension descriptor list: its ops, and what its items name.
+
+    An add op's arguments are one item's fields in order (``make``
+    builds the item), and a remove op's are the item's ``key``: the
+    whole row, or for a keyed list the key an add replaces.
+    """
+
+    make: Callable[..., Any]
+    add: str
+    remove: str
+    #: audit keys naming the ops' leading arguments
+    audit: tuple[str, ...]
+    key: Callable[[Any], tuple] = row_of
+    #: the roles whose generated rules read one item (None: no rule
+    #: reads the list)
+    readers: Callable[[Any], set[str]] | None = None
+    #: the declarations one item names, as (kind, name, where) rows:
+    #: kind "role" or "user", where the subject of the validator's
+    #: issue when the name is undeclared
+    references: Callable[[Any], list[tuple[str, str, str]]] = (
+        lambda item: [])
+    #: for a list that must stay acyclic (an item's first two fields
+    #: are an edge), the validator's issue text before the cycle
+    cycle: str | None = None
+
+
+#: extension descriptor lists, in the validator's order; dependencies
+#: come first (a purpose before the object policies naming it).  A
+#: keyed list holds one enabling window per role, one duration per
+#: role and user and one disabling-time SoD per name.
 DESCRIPTOR_OPS = {
-    "enabling_windows": (EnablingWindow, "set_enabling_window",
-                         "clear_enabling_window", lambda w: (w.role,)),
-    "durations": (DurationConstraint, "set_duration", "clear_duration",
-                  lambda d: (d.role, d.user)),
-    "disabling_sod": (DisablingTimeSoD, "add_disabling_sod",
-                      "remove_disabling_sod", lambda c: (c.name,)),
-    "prerequisites": (PrerequisiteRole, "add_prerequisite",
-                      "remove_prerequisite", row_of),
-    "post_conditions": (PostConditionDependency, "add_post_condition",
-                        "remove_post_condition", row_of),
-    "transactions": (TransactionActivation, "add_transaction",
-                     "remove_transaction", row_of),
-    "context_constraints": (ContextConstraint, "add_context_constraint",
-                            "remove_context_constraint", row_of),
-    "purposes": (lambda *row: row, "add_purpose", "remove_purpose",
-                 row_of),
-    "object_policies": (ObjectPolicy, "add_object_policy",
-                        "remove_object_policy", row_of),
-    "threshold_policies": (ThresholdPolicy, "add_threshold_policy",
-                           "remove_threshold_policy", row_of),
-}
-
-#: descriptor list -> the roles whose generated rules read one item
-READERS = {
-    "enabling_windows": lambda w: {w.role},
-    "durations": lambda d: {d.role},
-    "disabling_sod": lambda c: set(c.roles),
-    "prerequisites": lambda p: {p.role},
-    "post_conditions": lambda p: {p.trigger_role, p.required_role},
-    "transactions": lambda t: {t.dependent_role, t.anchor_role},
-    "context_constraints": lambda c: {c.role},
-}
-
-#: descriptor list -> the declarations one item names, as (kind, name,
-#: where) rows: kind "role" or "user", where the subject of the
-#: validator's issue when the name is undeclared
-REFERENCES = {
-    "federation_maps": lambda m: [
-        ("role", m[0], f"federation map to {m[1]!r}")],
-    "prerequisites": lambda p: [("role", p.role, "prerequisite"),
-                                ("role", p.prerequisite, "prerequisite")],
-    "post_conditions": lambda p: [
-        ("role", p.trigger_role, "post-condition"),
-        ("role", p.required_role, "post-condition")],
-    "transactions": lambda t: [
-        ("role", t.dependent_role, "transaction activation"),
-        ("role", t.anchor_role, "transaction activation")],
-    "durations": lambda d: [("role", d.role, "duration constraint")] + (
-        [] if d.user is None else [("user", d.user, "duration constraint")]),
-    "enabling_windows": lambda w: [("role", w.role, "enabling window")],
-    "disabling_sod": lambda c: [
-        ("role", role, f"disabling-time SoD {c.name!r}")
-        for role in sorted(c.roles)],
-    "context_constraints": lambda c: [
-        ("role", c.role, "context constraint")],
+    "federation_maps": Descriptor(
+        lambda *row: row, "add_federation_map", "remove_federation_map",
+        ("role", "domain", "host_role"),
+        references=lambda m: [
+            ("role", m[0], f"federation map to {m[1]!r}")]),
+    "prerequisites": Descriptor(
+        PrerequisiteRole, "add_prerequisite", "remove_prerequisite",
+        ("role", "prerequisite"), readers=lambda p: {p.role},
+        references=lambda p: [("role", p.role, "prerequisite"),
+                              ("role", p.prerequisite, "prerequisite")],
+        cycle="prerequisite roles form a cycle: "),
+    "post_conditions": Descriptor(
+        PostConditionDependency, "add_post_condition",
+        "remove_post_condition", ("trigger_role", "required_role"),
+        readers=lambda p: {p.trigger_role, p.required_role},
+        references=lambda p: [
+            ("role", p.trigger_role, "post-condition"),
+            ("role", p.required_role, "post-condition")]),
+    "transactions": Descriptor(
+        TransactionActivation, "add_transaction", "remove_transaction",
+        ("dependent_role", "anchor_role"),
+        readers=lambda t: {t.dependent_role, t.anchor_role},
+        references=lambda t: [
+            ("role", t.dependent_role, "transaction activation"),
+            ("role", t.anchor_role, "transaction activation")],
+        cycle="transaction-activation anchors form a cycle: "),
+    "durations": Descriptor(
+        DurationConstraint, "set_duration", "clear_duration", ("role",),
+        key=lambda d: (d.role, d.user), readers=lambda d: {d.role},
+        references=lambda d: [("role", d.role, "duration constraint")] + (
+            [] if d.user is None
+            else [("user", d.user, "duration constraint")])),
+    "enabling_windows": Descriptor(
+        EnablingWindow, "set_enabling_window", "clear_enabling_window",
+        ("role",), key=lambda w: (w.role,), readers=lambda w: {w.role},
+        references=lambda w: [("role", w.role, "enabling window")]),
+    "disabling_sod": Descriptor(
+        DisablingTimeSoD, "add_disabling_sod", "remove_disabling_sod",
+        ("name",), key=lambda c: (c.name,), readers=lambda c: set(c.roles),
+        references=lambda c: [
+            ("role", role, f"disabling-time SoD {c.name!r}")
+            for role in sorted(c.roles)]),
+    "context_constraints": Descriptor(
+        ContextConstraint, "add_context_constraint",
+        "remove_context_constraint", ("role", "variable"),
+        readers=lambda c: {c.role},
+        references=lambda c: [("role", c.role, "context constraint")]),
+    "purposes": Descriptor(lambda *row: row, "add_purpose",
+                           "remove_purpose", ("purpose", "parent")),
+    "object_policies": Descriptor(
+        ObjectPolicy, "add_object_policy", "remove_object_policy",
+        ("object", "operation", "purpose")),
+    "threshold_policies": Descriptor(
+        ThresholdPolicy, "add_threshold_policy", "remove_threshold_policy",
+        ("name",)),
 }
 
 #: op name -> the spec side of the op (see :meth:`PolicySpec.apply`)
 _SPEC_OPS = {
     **{add: _adder(field) for field, (add, _) in ROW_OPS.items()},
     **{drop: _remover(field) for field, (_, drop) in ROW_OPS.items()},
-    **{add: _adder(field, make, key)
-       for field, (make, add, _, key) in DESCRIPTOR_OPS.items()},
-    **{drop: _remover(field, key)
-       for field, (_, _, drop, key) in DESCRIPTOR_OPS.items()},
+    **{d.add: _adder(field, d.make, d.key)
+       for field, d in DESCRIPTOR_OPS.items()},
+    **{d.remove: _remover(field, d.key)
+       for field, d in DESCRIPTOR_OPS.items()},
     # a flat deassign also drops the pair's scope bounds
     "deassign_user": PolicySpec._deassign,
     "add_user": _setter("users", PolicySpec.add_user),

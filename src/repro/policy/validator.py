@@ -22,7 +22,7 @@ Checks:
 * privacy — purposes are declared once, parents first, and object
   policies reference declared purposes.
 
-:func:`item_issues` is the descriptor part for one new item; the
+:func:`descriptor_issues` is the extension descriptor part; the
 engine's descriptor ops check it before they write.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from repro.errors import PolicyValidationError
-from repro.policy.spec import REFERENCES, PolicySpec
+from repro.policy.spec import DESCRIPTOR_OPS, PolicySpec, row_of
 from repro.rbac.sod import hierarchy_conflicts
 
 
@@ -81,36 +81,49 @@ def _juniors_inclusive(role: str,
     return result
 
 
-#: descriptor lists that must stay acyclic -> (an item's edge, the
-#: issue text before the cycle)
-ACYCLIC = {
-    "prerequisites": (lambda p: (p.role, p.prerequisite),
-                      "prerequisite roles form a cycle: "),
-    "transactions": (lambda t: (t.dependent_role, t.anchor_role),
-                     "transaction-activation anchors form a cycle: "),
-}
-
-
-def _undeclared(spec: PolicySpec, field: str, item) -> list[str]:
-    """One issue per declaration ``item`` names that ``spec`` lacks."""
+def descriptor_issues(spec: PolicySpec) -> list[str]:
+    """The extension descriptor part of :func:`validate_policy`: every
+    role and user a descriptor names is declared, the acyclic lists
+    have no cycle, a role has at most one enabling window, and purposes
+    are declared once, parents first, before the object policies
+    naming them.  The engine's descriptor ops run it on the descriptor
+    lists an op would leave, as their guard."""
+    issues: list[str] = []
     declared = {"role": spec.roles, "user": spec.users}
-    return [f"{where} references undeclared {kind} {name!r}"
-            for kind, name, where in REFERENCES[field](item)
-            if name not in declared[kind]]
-
-
-def item_issues(spec: PolicySpec, field: str, item) -> list[str]:
-    """What adding ``item`` to ``spec``'s descriptor list ``field``
-    breaks: the declarations it names that ``spec`` lacks, and the
-    cycle it closes in an acyclic list.  :func:`validate_policy` runs
-    the same checks over every item; the engine's descriptor ops run
-    them as their guard."""
-    issues = _undeclared(spec, field, item)
-    if field in ACYCLIC:
-        edge, text = ACYCLIC[field]
-        cycle = _find_cycle([*map(edge, getattr(spec, field)), edge(item)])
+    for field, descriptor in DESCRIPTOR_OPS.items():
+        items = getattr(spec, field)
+        issues.extend(f"{where} references undeclared {kind} {name!r}"
+                      for item in items
+                      for kind, name, where in descriptor.references(item)
+                      if name not in declared[kind])
+        cycle = descriptor.cycle and _find_cycle(
+            [row_of(item)[:2] for item in items])
         if cycle:
-            issues.append(text + " -> ".join(cycle))
+            issues.append(descriptor.cycle + " -> ".join(cycle))
+    window_roles: set[str] = set()
+    for window in spec.enabling_windows:
+        if window.role in window_roles:
+            issues.append(
+                f"role {window.role!r} has multiple enabling windows; "
+                "only one is supported (the last declaration wins)"
+            )
+        window_roles.add(window.role)
+    declared_purposes: set[str] = set()
+    for purpose, parent in spec.purposes:
+        if purpose in declared_purposes:
+            issues.append(f"duplicate purpose declaration {purpose!r}")
+        if parent is not None and parent not in declared_purposes:
+            issues.append(
+                f"purpose {purpose!r} references undeclared parent "
+                f"{parent!r}"
+            )
+        declared_purposes.add(purpose)
+    for object_policy in spec.object_policies:
+        if object_policy.purpose not in declared_purposes:
+            issues.append(
+                f"object policy for {object_policy.obj!r} references "
+                f"undeclared purpose {object_policy.purpose!r}"
+            )
     return issues
 
 
@@ -262,40 +275,8 @@ def validate_policy(spec: PolicySpec,
         known_role(role, "scoped assignment")
         known_scope(scope, f"scoped assignment of {user!r}")
 
-    # -- extension descriptors: references, then acyclicity ------------------------
-    for field in REFERENCES:
-        for item in getattr(spec, field):
-            issues.extend(_undeclared(spec, field, item))
-    for field, (edge, text) in ACYCLIC.items():
-        cycle = _find_cycle([edge(item) for item in getattr(spec, field)])
-        if cycle:
-            issues.append(text + " -> ".join(cycle))
-    window_roles: set[str] = set()
-    for window in spec.enabling_windows:
-        if window.role in window_roles:
-            issues.append(
-                f"role {window.role!r} has multiple enabling windows; "
-                "only one is supported (the last declaration wins)"
-            )
-        window_roles.add(window.role)
-
-    # -- privacy (parents first, each purpose once) -------------------------------------
-    declared_purposes: set[str] = set()
-    for purpose, parent in spec.purposes:
-        if purpose in declared_purposes:
-            issues.append(f"duplicate purpose declaration {purpose!r}")
-        if parent is not None and parent not in declared_purposes:
-            issues.append(
-                f"purpose {purpose!r} references undeclared parent "
-                f"{parent!r}"
-            )
-        declared_purposes.add(purpose)
-    for object_policy in spec.object_policies:
-        if object_policy.purpose not in declared_purposes:
-            issues.append(
-                f"object policy for {object_policy.obj!r} references "
-                f"undeclared purpose {object_policy.purpose!r}"
-            )
+    # -- extension descriptors ----------------------------------------------------
+    issues.extend(descriptor_issues(spec))
 
     # -- assignments reference users with cardinality sanity -------------------------------
     for user_spec in spec.users.values():

@@ -23,9 +23,12 @@ class LaunchError(RuntimeError):
         self.output = output
 
 
-def launch(port_file: pathlib.Path, args: list[str], *,
-           timeout: float = 60.0, cwd: Any = None
-           ) -> tuple[subprocess.Popen, int]:
+#: seconds a SIGTERMed server has to drain and exit before it is killed
+DRAIN_TIMEOUT_S = 30.0
+
+
+def launch(port_file: pathlib.Path, args: list[str], *, timeout: float,
+           cwd: Any = None) -> tuple[subprocess.Popen, int]:
     """Spawn ``repro-rbac serve ARGS`` on port 0 and return it with the
     port it wrote to ``port_file``; :class:`LaunchError` when it exits
     or does not bind within ``timeout`` seconds."""
@@ -48,13 +51,13 @@ def launch(port_file: pathlib.Path, args: list[str], *,
     return proc, int(port_file.read_text().strip())
 
 
-def drain(proc: subprocess.Popen, timeout: float = 30.0
-          ) -> tuple[str, dict[str, Any] | None]:
-    """SIGTERM the server and wait (killing it after ``timeout``
-    seconds); returns its output and its shutdown summary, if any."""
+def drain(proc: subprocess.Popen) -> tuple[str, dict[str, Any] | None]:
+    """SIGTERM the server and wait (killing it after
+    :data:`DRAIN_TIMEOUT_S`); returns its output and its shutdown
+    summary, if any."""
     proc.send_signal(signal.SIGTERM)
     try:
-        out = proc.communicate(timeout=timeout)[0]
+        out = proc.communicate(timeout=DRAIN_TIMEOUT_S)[0]
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -229,6 +229,36 @@ class TestDescriptorRollout:
             == fresh.model.is_role_enabled("nurse") is True
         assert activates(engine) == activates(fresh) is True
 
+    def test_reparenting_a_named_purpose_matches_a_fresh_boot(self):
+        """Promoting a config that moves a purpose an object policy and
+        a child purpose name under a new parent applies every op, and
+        the live purpose tree decides as a fresh boot of that config."""
+        tree = ("assign bob to nurse;\n  purpose care; purpose ops;\n"
+                "  purpose care.x under {};\n"
+                "  purpose care.x.y under care.x;\n"
+                "  object_policy read on chart for care.x;\n"
+                "  object_policy write on chart for care;")
+        old, new = (parse_policy(BASE.replace(
+            "assign bob to nurse;", tree.format(parent)))
+            for parent in ("care", "ops"))
+        engine = ActiveRBACEngine.from_policy(old)
+        lifecycle = PolicyLifecycle(engine)
+        lifecycle.adopt(1)
+        lifecycle.stage(ConfigSet.from_spec(new, 2))
+        report = lifecycle.promote(force=True)
+        fresh = ActiveRBACEngine.from_policy(new)
+
+        assert report["apply"]["skipped"] == []
+        for field in ("purposes", "object_policies"):
+            assert set(getattr(engine.policy, field)) \
+                == set(getattr(new, field))
+        probes = [(op, purpose) for op in ("read", "write")
+                  for purpose in ("care", "ops", "care.x", "care.x.y")]
+        assert [engine.privacy.compliant("chart", *p) for p in probes] \
+            == [fresh.privacy.compliant("chart", *p) for p in probes]
+        assert engine.privacy.compliant("chart", "write", "care.x") \
+            == (False, ())
+
 
 class TestDeterministicReplay:
     def test_same_version_replays_byte_identically(self, stack,

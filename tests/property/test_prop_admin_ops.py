@@ -24,14 +24,15 @@ if and only if it changed the rendered policy.
 A round-trip property pins the differ and the spec side of the ops
 against each other: applying ``diff_specs(old, new).model_ops`` to
 ``old.clone()`` through :meth:`PolicySpec.apply` gives ``new`` on every
-field the differ covers, extension descriptors included.
+field the differ covers, extension descriptors included.  Between two
+valid specs the engine's guards accept every op of that script too.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import ActiveRBACEngine, parse_policy, persistence
@@ -59,7 +60,7 @@ from repro.serve.shard import Shard
 
 BASE = """
 policy ops {
-  role R0; role R1; role R2; role R3;
+  role R0; role R1; role R2; role R3; role R5;
   user u0; user u1 max_active_roles 2;
   scope s0; scope s0.a under s0;
   hierarchy R1 > R0;
@@ -69,8 +70,8 @@ policy ops {
   grant write on doc to R3 in s0;
   assign u0 to R1;
   assign u1 to R0 in s0;
-  enable R2 daily 09:00 to 17:00;
-  duration R1 60 for u0;
+  enable R5 daily 09:00 to 17:00;
+  duration R5 60 for u0;
   purpose care;
 }
 """
@@ -85,6 +86,9 @@ def _col(*values) -> list[tuple]:
 U = _col(*["u0", "u1"] * 3, "u2", "ghost")
 R = _col(*["R0", "R1", "R2", "R3"] * 3, "R4", "R9")
 S = _col(*["s0", "s0.a"] * 2, "s1", "/", "nowhere")
+#: R5 holds a closed enabling window and a per-user duration; only the
+#: descriptor ops name it
+RD = [*R, ("R5",)]
 P = [("read", "doc"), ("write", "doc"), ("read", "log")]
 L = _col(None, 1, 2)
 SOD = [(frozenset(pair),) for pair in combinations(["R0", "R1", "R2", "R3",
@@ -118,9 +122,9 @@ DOMAINS = {
     "deassign_user": (U, R), "deassign_scoped": (U, R, S),
     "add_federation_map": (R, _col("lab"), _col("Visitor")),
     "remove_federation_map": (R, _col("lab"), _col("Visitor")),
-    "set_enabling_window": (R, WINDOWS), "clear_enabling_window": (R,),
-    "set_duration": (R, _col(60.0, 90.0), _col(None, "u0", "ghost")),
-    "clear_duration": (R, _col(None, "u0")),
+    "set_enabling_window": (RD, WINDOWS), "clear_enabling_window": (RD,),
+    "set_duration": (RD, _col(60.0, 90.0), _col(None, "u0", "ghost")),
+    "clear_duration": (RD, _col(None, "u0")),
     "add_disabling_sod": (_col("T", "T2"), SOD, WINDOWS),
     "remove_disabling_sod": (_col("T", "T2"),),
     "add_prerequisite": (R, R), "remove_prerequisite": (R, R),
@@ -349,7 +353,8 @@ def specs(draw) -> PolicySpec:
 def descriptors(draw, spec: PolicySpec, roles: list[str]) -> None:
     """Extension descriptors over ``roles``: one enabling window per
     role, one duration per role and user, one disabling-time SoD per
-    name, and purposes declared parents first."""
+    name, and purposes declared parents first (``care.x`` under either
+    root, so two specs may re-parent it)."""
     role = st.sampled_from(roles)
     pairs = st.lists(st.tuples(role, role).filter(lambda p: p[0] != p[1]),
                      unique=True, max_size=2)
@@ -376,10 +381,12 @@ def descriptors(draw, spec: PolicySpec, roles: list[str]) -> None:
     spec.federation_maps.extend(
         (name, "lab", "Visitor")
         for name in draw(st.lists(role, unique=True, max_size=2)))
-    for purpose, parent in (("care", None), ("care.x", "care"),
-                            ("ops", None)):
+    for purpose, parent in (("care", None), ("ops", None),
+                            ("care.x", draw(st.sampled_from(["care",
+                                                             "ops"]))),
+                            ("care.x.y", "care.x")):
         if draw(st.booleans()) and (parent is None
-                                    or (parent, None) in spec.purposes):
+                                    or parent in dict(spec.purposes)):
             spec.purposes.append((purpose, parent))
     for purpose, _parent in spec.purposes:
         if draw(st.booleans()):
@@ -400,7 +407,7 @@ def covered(spec: PolicySpec) -> dict:
         "scoped_assignments": set(spec.scoped_assignments),
         "scopes": set(spec.scopes),
         **{field: set(getattr(spec, field))
-           for field in ("federation_maps", *DESCRIPTOR_OPS)},
+           for field in DESCRIPTOR_OPS},
     }
 
 
@@ -414,3 +421,15 @@ def test_spec_apply_inverts_the_differ(old, new):
     # the differ never unregisters a permission
     assert set(result.permissions) == set(old.permissions) | set(
         new.permissions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(old=specs(), new=specs())
+def test_the_engine_applies_every_differ_op(old, new):
+    """A promotion between valid specs skips no op: every op's guard
+    holds on the state the ops before it leave."""
+    assume(not validate_policy(old) and not validate_policy(new))
+    engine = ActiveRBACEngine.from_policy(old)
+    for op in diff_specs(old, new).model_ops:
+        engine.apply(op, batch=True)
+    assert covered(engine.policy) == covered(new)
