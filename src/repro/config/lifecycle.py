@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.clock import VirtualClock
@@ -92,12 +92,7 @@ class RolloutBudget:
     hold_checks: int = 100
 
     def describe(self) -> dict[str, Any]:
-        return {
-            "min_samples": self.min_samples,
-            "max_divergence": self.max_divergence,
-            "max_errors": self.max_errors,
-            "hold_checks": self.hold_checks,
-        }
+        return asdict(self)
 
 
 class ShadowComparator:
@@ -220,8 +215,7 @@ def load_version(state_dir: str, version: int) -> ConfigSet:
                           f"under {state_dir!r} (expected {path})")
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
-    return ConfigSet.from_spec(parse_policy(source), int(version),
-                               origin=path)
+    return ConfigSet.of(parse_policy(source), int(version), origin=path)
 
 
 class PolicyLifecycle:
@@ -254,7 +248,7 @@ class PolicyLifecycle:
         self.comparator: ShadowComparator | None = None
         #: post-promotion hold comparator (previous kernel as shadow)
         self.hold: ShadowComparator | None = None
-        #: (pre-promote spec clone, version) — the rollback target
+        #: (pre-promote spec, version) — the rollback target
         self._previous: tuple["PolicySpec", int | None] | None = None
         #: the promoted config the hold is policing
         self._promoted: ConfigSet | None = None
@@ -306,6 +300,8 @@ class PolicyLifecycle:
         canonical form of that policy (the set the engine was just
         built from, as at boot); it is adopted as is, with its own
         version and origin, instead of canonicalising the policy again.
+        Either way the engine and the active set share one spec until
+        the engine's next edit copies it.
         """
         engine = self.engine
         if config is not None:
@@ -315,9 +311,9 @@ class PolicyLifecycle:
             raise ConfigError(
                 f"config version must advance: {version} <= live {floor}")
         if config is None:
-            config = ConfigSet.from_spec(engine.policy, version,
-                                         origin=origin)
-        self.active = config
+            config = ConfigSet.of(engine.shared_policy(), version,
+                                  origin=origin)
+        self.active = config.settled()
         engine.config_version = config.version
         self._persist(config, "active")
         engine._log("config.promote", version=config.version,
@@ -433,7 +429,7 @@ class PolicyLifecycle:
         prev_kernel = engine._kernel
         if prev_kernel is None or not prev_kernel.fresh(engine):
             prev_kernel = engine.kernel()
-        self._previous = (engine.policy.clone(), engine.config_version)
+        self._previous = (engine.shared_policy(), engine.config_version)
         apply_report = self._apply_delta(engine.policy, config.spec)
         swap = self._swap("config.promote", version=config.version,
                           checksum=config.checksum, forced=force,
@@ -441,8 +437,7 @@ class PolicyLifecycle:
                           canary_divergences=canary["divergences"])
         engine.config_version = config.version
         engine.config_candidate = None
-        self.active = config
-        self._promoted = config
+        self.active = self._promoted = config.settled()
         self.candidate = None
         self.comparator = None
         self._shadow_engine = None
@@ -509,8 +504,8 @@ class PolicyLifecycle:
             "reason": reason,
             "at": engine.clock.now,
         }
-        self.active = (ConfigSet.from_spec(prev_spec, prev_version,
-                                           origin="rollback")
+        self.active = (ConfigSet.of(prev_spec, prev_version,
+                                    origin="rollback").settled()
                        if prev_version else None)
         self.hold = None
         self._previous = None

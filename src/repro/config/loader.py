@@ -48,7 +48,7 @@ from typing import Any
 
 from repro.config.configset import ConfigSet
 from repro.errors import ReproError
-from repro.policy.spec import PolicySpec
+from repro.policy.spec import DESCRIPTOR_OPS, PolicySpec
 
 __all__ = ["ConfigError", "MissingConfigVersion", "load_config",
            "parse_config", "spec_from_document"]
@@ -218,11 +218,18 @@ def _parse_yaml(text: str) -> Any:
 # document -> PolicySpec
 # ==========================================================================
 
-_STRUCTURED_KEYS = (
-    "roles", "users", "hierarchy", "ssd", "dsd", "permissions",
-    "grants", "assignments", "scopes", "federation_maps", "durations",
-    "prerequisites", "post_conditions", "transactions",
-)
+#: structured keys whose entries are rows of names: key -> the entry
+#: fields, in the order the spec's row (or descriptor item) takes them
+_NAME_ROWS = {
+    "hierarchy": ("senior", "junior"),
+    "federation_maps": ("home_role", "host_domain", "host_role"),
+    "prerequisites": ("role", "prerequisite"),
+    "post_conditions": ("trigger_role", "required_role"),
+    "transactions": ("dependent_role", "anchor_role"),
+}
+
+_STRUCTURED_KEYS = ("roles", "users", "ssd", "dsd", "permissions", "grants",
+                    "assignments", "scopes", "durations", *_NAME_ROWS)
 
 
 def _named_entries(doc: Any, key: str) -> list[dict[str, Any]]:
@@ -271,80 +278,65 @@ def spec_from_document(doc: dict[str, Any]) -> PolicySpec:
             spec.name = str(doc["name"])
         return spec
 
-    from repro.extensions.cfd import (
-        PostConditionDependency,
-        PrerequisiteRole,
-        TransactionActivation,
-    )
     from repro.gtrbac.constraints import DurationConstraint
+
+    # each name is stored as its first occurrence: the spec holds it once
+    names: dict[str, str] = {}
+
+    def name(value: Any) -> Any:
+        return None if value is None else names.setdefault(
+            str(value), str(value))
 
     spec = PolicySpec(name=str(doc.get("name", "policy")))
     for entry in _named_entries(doc, "roles"):
-        spec.add_role(str(_require(entry, "roles", "name")),
+        spec.add_role(name(_require(entry, "roles", "name")),
                       entry.get("max_active_users"))
     for entry in _named_entries(doc, "users"):
-        spec.add_user(str(_require(entry, "users", "name")),
+        spec.add_user(name(_require(entry, "users", "name")),
                       entry.get("max_active_roles"))
-    for entry in _named_entries(doc, "hierarchy"):
-        spec.add_hierarchy(str(_require(entry, "hierarchy", "senior")),
-                           str(_require(entry, "hierarchy", "junior")))
     for family, adder in (("ssd", spec.add_ssd), ("dsd", spec.add_dsd)):
         for entry in _named_entries(doc, family):
             roles = _require(entry, family, "roles")
             if not isinstance(roles, list):
                 raise ConfigError(f"{family!r} roles must be a list")
-            adder(str(_require(entry, family, "name")),
-                  {str(role) for role in roles},
+            adder(name(_require(entry, family, "name")),
+                  {name(role) for role in roles},
                   int(entry.get("cardinality", 2)))
     for entry in _named_entries(doc, "permissions"):
-        pair = (str(_require(entry, "permissions", "operation")),
-                str(_require(entry, "permissions", "object")))
-        if pair not in spec.permissions:
-            spec.permissions.append(pair)
+        spec.apply(("add_permission",
+                    name(_require(entry, "permissions", "operation")),
+                    name(_require(entry, "permissions", "object"))))
     for entry in _named_entries(doc, "scopes"):
-        parent = entry.get("parent")
-        spec.add_scope(str(_require(entry, "scopes", "name")),
-                       None if parent is None else str(parent))
+        spec.add_scope(name(_require(entry, "scopes", "name")),
+                       name(entry.get("parent")))
     for entry in _named_entries(doc, "grants"):
-        role = str(_require(entry, "grants", "role"))
-        operation = str(_require(entry, "grants", "operation"))
-        obj = str(_require(entry, "grants", "object"))
-        scope = entry.get("scope")
+        role = name(_require(entry, "grants", "role"))
+        operation = name(_require(entry, "grants", "operation"))
+        obj = name(_require(entry, "grants", "object"))
+        scope = name(entry.get("scope"))
         if scope is None:
             spec.add_grant(role, operation, obj)
         else:
-            spec.add_scoped_grant(role, operation, obj, str(scope))
+            spec.add_scoped_grant(role, operation, obj, scope)
     for entry in _named_entries(doc, "assignments"):
-        user = str(_require(entry, "assignments", "user"))
-        role = str(_require(entry, "assignments", "role"))
-        scope = entry.get("scope")
+        user = name(_require(entry, "assignments", "user"))
+        role = name(_require(entry, "assignments", "role"))
+        scope = name(entry.get("scope"))
         if scope is None:
             spec.add_assignment(user, role)
         else:
-            spec.add_scoped_assignment(user, role, str(scope))
-    for entry in _named_entries(doc, "federation_maps"):
-        spec.add_federation_map(
-            str(_require(entry, "federation_maps", "home_role")),
-            str(_require(entry, "federation_maps", "host_domain")),
-            str(_require(entry, "federation_maps", "host_role")))
+            spec.add_scoped_assignment(user, role, scope)
     for entry in _named_entries(doc, "durations"):
-        user = entry.get("user")
         spec.durations.append(DurationConstraint(
-            str(_require(entry, "durations", "role")),
+            name(_require(entry, "durations", "role")),
             float(_require(entry, "durations", "delta")),
-            None if user is None else str(user)))
-    for entry in _named_entries(doc, "prerequisites"):
-        spec.prerequisites.append(PrerequisiteRole(
-            str(_require(entry, "prerequisites", "role")),
-            str(_require(entry, "prerequisites", "prerequisite"))))
-    for entry in _named_entries(doc, "post_conditions"):
-        spec.post_conditions.append(PostConditionDependency(
-            str(_require(entry, "post_conditions", "trigger_role")),
-            str(_require(entry, "post_conditions", "required_role"))))
-    for entry in _named_entries(doc, "transactions"):
-        spec.transactions.append(TransactionActivation(
-            str(_require(entry, "transactions", "dependent_role")),
-            str(_require(entry, "transactions", "anchor_role"))))
+            name(entry.get("user"))))
+    for key, row in _NAME_ROWS.items():
+        make = (DESCRIPTOR_OPS[key].make if key in DESCRIPTOR_OPS
+                else lambda *cells: cells)
+        getattr(spec, key).extend(
+            make(*(name(_require(entry, key, field)) for field in row))
+            for entry in _named_entries(doc, key))
     return spec
 
 
@@ -399,7 +391,7 @@ def parse_config(text: str, fmt: str = "yaml",
         raise ConfigError(
             "config version %d failed validation: %s"
             % (version, "; ".join(str(issue) for issue in issues)))
-    return ConfigSet.from_spec(spec, version, origin=origin)
+    return ConfigSet.of(spec, version, origin=origin)
 
 
 _FORMATS = {".json": "json", ".yaml": "yaml", ".yml": "yaml",

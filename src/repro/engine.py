@@ -134,7 +134,9 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.flight = FlightRecorder()
         self.context.attach(self.detector)
         self.monitor = ActiveSecurityMonitor(self)
-        self.policy = policy.clone() if policy is not None else PolicySpec()
+        #: the policy in force; shared with its giver until apply() copies it
+        self.policy = policy if policy is not None else PolicySpec()
+        self._policy_shared = policy is not None
         self.model = build_model(self.policy)
         self.audit.names = self.model.names
         self.obs.attach_hierarchy(self.model.hierarchy)
@@ -256,6 +258,8 @@ class ActiveRBACEngine(EnforcementHelpers):
             raise AdministrationError(
                 f"{name}: the root scope is the flat op; omit the scope")
         roles = step(self, *args)
+        if self._policy_shared:
+            self.policy, self._policy_shared = self.policy.clone(), False
         if not self.policy.apply(op):
             return None
         report = self._regenerate(roles) if roles and not batch else None
@@ -263,6 +267,11 @@ class ActiveRBACEngine(EnforcementHelpers):
             self.audit.record(kind, **dict(zip(keys, args)))
         self._note_policy_change(None if batch else "policy.epoch")
         return report
+
+    def shared_policy(self) -> PolicySpec:
+        """The live policy, to share: the engine's next edit copies it."""
+        self._policy_shared = True
+        return self.policy
 
     def _note_policy_change(self, record: str | None = "policy.epoch",
                             **data: Any) -> None:
@@ -898,8 +907,9 @@ class ActiveRBACEngine(EnforcementHelpers):
         if activation_id == self._activation_seq.peek:
             next(self._activation_seq)
         self.model.add_session_role_record(session_id, role)
-        self.current_activation[(session_id, role)] = activation_id
-        self.activation_started[(session_id, role)] = self.clock.now
+        key = (session_id, role)
+        self.current_activation[key] = activation_id
+        self.activation_started[key] = self.clock.now
         self.obs.activation_changed("add")
         self.audit.record("activation.add", session=session_id, role=role)
         self._log("activation.add", session=session_id, role=role,
@@ -909,8 +919,9 @@ class ActiveRBACEngine(EnforcementHelpers):
     def commit_deactivation(self, session_id: str, role: str) -> None:
         user = self.model.session_user(session_id)
         self.model.drop_session_role_record(session_id, role)
-        self.current_activation.pop((session_id, role), None)
-        self.activation_started.pop((session_id, role), None)
+        key = (session_id, role)
+        self.current_activation.pop(key, None)
+        self.activation_started.pop(key, None)
         self.obs.activation_changed("drop")
         self.audit.record("activation.drop", session=session_id, role=role)
         self._log("activation.drop", session=session_id, role=role)

@@ -91,7 +91,7 @@ class PolicyKernel:
 
     __slots__ = (
         "engine", "epoch", "rules_version", "detector_version",
-        "user_ids", "role_ids", "op_ids", "obj_ids", "perm_ids",
+        "sizes", "role_ids", "perm_ids",
         "role_names", "juniors_mask", "seniors_mask", "grant_masks",
         "context_roles_mask", "regulated_objects", "privacy_len",
         "ssd_conflicts", "dispatch", "static_rules", "dynamic_rules",
@@ -113,12 +113,11 @@ class PolicyKernel:
         self.detector_version = engine.detector.version
         self._sessions = model.sessions  # live dict, identity-stable
 
-        # -- interning ----------------------------------------------------
-        self.user_ids = {u: i for i, u in enumerate(sorted(model.users))}
+        # -- interning (users, operations and objects are only counted) --
+        self.sizes = (len(model.users), len(model.operations),
+                      len(model.objects))
         self.role_ids = {r: i for i, r in enumerate(sorted(model.roles))}
         self.role_names = sorted(model.roles)
-        self.op_ids = {o: i for i, o in enumerate(sorted(model.operations))}
-        self.obj_ids = {o: i for i, o in enumerate(sorted(model.objects))}
         self.perm_ids = {
             (p.operation, p.obj): i
             for i, p in enumerate(sorted(
@@ -574,10 +573,10 @@ class PolicyKernel:
             "rules_version": self.rules_version,
             "detector_version": self.detector_version,
             "build_us": self.build_ns / 1000,
-            "users": len(self.user_ids),
+            "users": self.sizes[0],
             "roles": len(self.role_ids),
-            "operations": len(self.op_ids),
-            "objects": len(self.obj_ids),
+            "operations": self.sizes[1],
+            "objects": self.sizes[2],
             "permissions": len(self.perm_ids),
             "static_rules": self.static_rules,
             "dynamic_rules": self.dynamic_rules,

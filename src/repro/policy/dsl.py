@@ -32,7 +32,8 @@ Grammar (one statement per ``;``-terminated line, ``#`` comments)::
       object_policy <op> on <object> for <purpose> [obliges <name>,...] ;
       threshold <name> event <accessDenied|activationDenied>
                 [group_by <param>|global] count <n> window <seconds>
-                [lock_user] [deactivate A, B] [lockout <seconds>] ;
+                [lock_user] [deactivate A, B] [lockout <seconds>]
+                [disable [<tag> == <value>, ...]]... ;  # one per tag set
     }
 
 Identifiers may contain letters, digits, ``_``, ``-`` and ``.``
@@ -132,6 +133,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._index = 0
+        #: the first copy of every name read, so the spec holds each once
+        self._names: dict[str, str] = {}
 
     # -- token plumbing -----------------------------------------------------------
 
@@ -167,11 +170,15 @@ class _Parser:
 
     def _ident(self) -> str:
         token = self._next()
-        if token.kind == "word":
-            return token.text
-        if token.kind == "string":
-            return token.text[1:-1]
-        raise self._error(f"expected a name, got {token.text!r}", token)
+        if token.kind not in ("word", "string"):
+            raise self._error(f"expected a name, got {token.text!r}", token)
+        text = token.text if token.kind == "word" else token.text[1:-1]
+        return self._names.setdefault(text, text)
+
+    def _tag(self) -> tuple[str, str]:
+        key = self._ident()
+        self._expect_op("==")
+        return key, self._ident()
 
     def _number(self) -> float:
         token = self._next()
@@ -201,11 +208,12 @@ class _Parser:
     def _semicolon(self) -> None:
         self._expect_op(";")
 
-    def _name_list(self) -> list[str]:
-        names = [self._ident()]
+    def _name_list(self, item=None) -> list:
+        read = item or self._ident
+        names = [read()]
         while self._peek().kind == "op" and self._peek().text == ",":
             self._next()
-            names.append(self._ident())
+            names.append(read())
         return names
 
     # -- grammar --------------------------------------------------------------------
@@ -248,21 +256,17 @@ class _Parser:
         spec.hierarchy_limited = True
         self._semicolon()
 
-    def _stmt_role(self, spec: PolicySpec) -> None:
+    def _declare(self, add, bound: str) -> None:
+        """``<name> [<bound> <n>]``: a role or user declaration."""
         name = self._ident()
-        max_users: int | None = None
-        if self._eat_word("max_active_users"):
-            max_users = int(self._number())
-        spec.add_role(name, max_users)
+        add(name, int(self._number()) if self._eat_word(bound) else None)
         self._semicolon()
 
+    def _stmt_role(self, spec: PolicySpec) -> None:
+        self._declare(spec.add_role, "max_active_users")
+
     def _stmt_user(self, spec: PolicySpec) -> None:
-        name = self._ident()
-        max_roles: int | None = None
-        if self._eat_word("max_active_roles"):
-            max_roles = int(self._number())
-        spec.add_user(name, max_roles)
-        self._semicolon()
+        self._declare(spec.add_user, "max_active_roles")
 
     def _stmt_hierarchy(self, spec: PolicySpec) -> None:
         chain = [self._ident()]
@@ -275,32 +279,26 @@ class _Parser:
             spec.add_hierarchy(senior, junior)
         self._semicolon()
 
-    def _sod_body(self) -> tuple[list[str], int]:
+    def _sod(self, add) -> None:
+        name = self._ident()
         self._expect_word("roles")
         roles = self._name_list()
         cardinality = 2
         if self._eat_word("cardinality"):
             cardinality = int(self._number())
-        return roles, cardinality
+        add(name, set(roles), cardinality)
+        self._semicolon()
 
     def _stmt_ssd(self, spec: PolicySpec) -> None:
-        name = self._ident()
-        roles, cardinality = self._sod_body()
-        spec.add_ssd(name, set(roles), cardinality)
-        self._semicolon()
+        self._sod(spec.add_ssd)
 
     def _stmt_dsd(self, spec: PolicySpec) -> None:
-        name = self._ident()
-        roles, cardinality = self._sod_body()
-        spec.add_dsd(name, set(roles), cardinality)
-        self._semicolon()
+        self._sod(spec.add_dsd)
 
     def _stmt_permission(self, spec: PolicySpec) -> None:
         operation = self._ident()
         self._expect_word("on")
-        obj = self._ident()
-        if (operation, obj) not in spec.permissions:
-            spec.permissions.append((operation, obj))
+        spec.apply(("add_permission", operation, self._ident()))
         self._semicolon()
 
     def _stmt_grant(self, spec: PolicySpec) -> None:
@@ -325,12 +323,13 @@ class _Parser:
             spec.add_assignment(user, role)
         self._semicolon()
 
-    def _stmt_scope(self, spec: PolicySpec) -> None:
+    def _under(self) -> tuple[str, str | None]:
+        """``<name> [under <parent>]``: a scope or purpose declaration."""
         name = self._ident()
-        parent: str | None = None
-        if self._eat_word("under"):
-            parent = self._ident()
-        spec.add_scope(name, parent)
+        return name, self._ident() if self._eat_word("under") else None
+
+    def _stmt_scope(self, spec: PolicySpec) -> None:
+        spec.add_scope(*self._under())
         self._semicolon()
 
     def _stmt_federate(self, spec: PolicySpec) -> None:
@@ -342,27 +341,25 @@ class _Parser:
         spec.add_federation_map(home_role, host_domain, host_role)
         self._semicolon()
 
+    def _pair(self, *words: str) -> tuple[str, str]:
+        """``<name> <words...> <name>``: a two-role statement's names."""
+        first = self._ident()
+        for word in words:
+            self._expect_word(word)
+        return first, self._ident()
+
     def _stmt_prerequisite(self, spec: PolicySpec) -> None:
-        role = self._ident()
-        self._expect_word("requires")
-        prerequisite = self._ident()
-        spec.prerequisites.append(PrerequisiteRole(role, prerequisite))
+        spec.prerequisites.append(PrerequisiteRole(*self._pair("requires")))
         self._semicolon()
 
     def _stmt_require(self, spec: PolicySpec) -> None:
-        required = self._ident()
-        self._expect_word("when")
-        self._expect_word("enabling")
-        trigger = self._ident()
+        required, trigger = self._pair("when", "enabling")
         spec.post_conditions.append(
             PostConditionDependency(trigger, required))
         self._semicolon()
 
     def _stmt_transaction(self, spec: PolicySpec) -> None:
-        dependent = self._ident()
-        self._expect_word("during")
-        anchor = self._ident()
-        spec.transactions.append(TransactionActivation(dependent, anchor))
+        spec.transactions.append(TransactionActivation(*self._pair("during")))
         self._semicolon()
 
     def _stmt_duration(self, spec: PolicySpec) -> None:
@@ -432,11 +429,7 @@ class _Parser:
         self._semicolon()
 
     def _stmt_purpose(self, spec: PolicySpec) -> None:
-        name = self._ident()
-        parent: str | None = None
-        if self._eat_word("under"):
-            parent = self._ident()
-        spec.purposes.append((name, parent))
+        spec.purposes.append(self._under())
         self._semicolon()
 
     def _stmt_object_policy(self, spec: PolicySpec) -> None:
@@ -461,6 +454,7 @@ class _Parser:
         lock_users = False
         deactivate: tuple[str, ...] = ()
         lockout: float | None = None
+        disable: list[tuple[tuple[str, str], ...]] = []
         while not (self._peek().kind == "op" and self._peek().text == ";"):
             if self._eat_word("event"):
                 event = self._ident()
@@ -477,13 +471,19 @@ class _Parser:
                 deactivate = tuple(self._name_list())
             elif self._eat_word("lockout"):
                 lockout = self._number()
+            elif self._eat_word("disable"):
+                # a bare ``disable`` is the empty tag set: every rule
+                after = self._tokens[self._index + 1:self._index + 2]
+                disable.append(tuple(self._name_list(self._tag)) if after
+                               and after[0].text == "==" else ())
             else:
                 raise self._error(
                     f"unknown threshold option {self._peek().text!r}")
         spec.threshold_policies.append(ThresholdPolicy(
             name=name, event=event, group_by=group_by, threshold=count,
-            window=window, lock_users=lock_users,
-            deactivate_roles=deactivate, lockout_duration=lockout))
+            window=window, disable_rule_tags=tuple(disable),
+            deactivate_roles=deactivate, lock_users=lock_users,
+            lockout_duration=lockout))
         self._semicolon()
 
 
@@ -529,14 +529,11 @@ def render_policy(spec: PolicySpec) -> str:
         lines.append(f"  scope {_q(scope)}{suffix};")
     for senior, junior in spec.hierarchy:
         lines.append(f"  hierarchy {senior} > {junior};")
-    for sod in spec.ssd.values():
-        roles = ", ".join(sorted(sod.roles))
-        lines.append(f"  ssd {sod.name} roles {roles} "
-                     f"cardinality {sod.cardinality};")
-    for sod in spec.dsd.values():
-        roles = ", ".join(sorted(sod.roles))
-        lines.append(f"  dsd {sod.name} roles {roles} "
-                     f"cardinality {sod.cardinality};")
+    for kind, family in (("ssd", spec.ssd), ("dsd", spec.dsd)):
+        for sod in family.values():
+            roles = ", ".join(sorted(sod.roles))
+            lines.append(f"  {kind} {sod.name} roles {roles} "
+                         f"cardinality {sod.cardinality};")
     for operation, obj in spec.permissions:
         lines.append(f"  permission {operation} on {obj};")
     for role, operation, obj in spec.grants:
@@ -618,6 +615,9 @@ def render_policy(spec: PolicySpec) -> str:
                          + ", ".join(threshold.deactivate_roles))
         if threshold.lockout_duration is not None:
             parts.append(f"lockout {threshold.lockout_duration:g}")
+        parts.extend(("disable " + ", ".join(
+            f"{_q(key)} == {_q(value)}" for key, value in tags)).rstrip()
+            for tags in threshold.disable_rule_tags)
         lines.append(" ".join(parts) + ";")
     lines.append("}")
     return "\n".join(lines)

@@ -142,8 +142,7 @@ class PolicySpec:
         return self
 
     def add_grant(self, role: str, operation: str, obj: str) -> "PolicySpec":
-        if (operation, obj) not in self.permissions:
-            self.permissions.append((operation, obj))
+        self.apply(("add_permission", operation, obj))
         self.grants.append((role, operation, obj))
         return self
 
@@ -159,8 +158,7 @@ class PolicySpec:
 
     def add_scoped_grant(self, role: str, operation: str, obj: str,
                          scope: str) -> "PolicySpec":
-        if (operation, obj) not in self.permissions:
-            self.permissions.append((operation, obj))
+        self.apply(("add_permission", operation, obj))
         self.scoped_grants.append((role, operation, obj, scope))
         return self
 
@@ -181,9 +179,16 @@ class PolicySpec:
         of :func:`~repro.config.differ.diff_specs`.  Unguarded (the
         engine's ``apply`` checks the live model first); adds are
         idempotent and removals tolerate absence.  Returns whether the
-        spec changed.
+        spec changed.  A user or role name the spec declares is stored
+        as the declared string, so each name is held once.
         """
-        return _SPEC_OPS[op[0]](self, *op[1:])
+        return _SPEC_OPS[op[0]](self, *map(self._own, op[1:]))
+
+    def _own(self, value: Any) -> Any:
+        """The spec's own copy of a declared user or role name."""
+        held = (self.users.get(value) or self.roles.get(value)
+                if type(value) is str else None)
+        return value if held is None else held.name
 
     def _delete_user(self, name: str) -> bool:
         self.assignments = [a for a in self.assignments if a[0] != name]
@@ -265,21 +270,9 @@ class PolicySpec:
     def clone(self) -> "PolicySpec":
         """Deep-enough copy for regeneration diffs (descriptors are
         immutable, containers are copied)."""
-        return replace(
-            self,
-            users=dict(self.users),
-            roles=dict(self.roles),
-            hierarchy=list(self.hierarchy),
-            ssd=dict(self.ssd),
-            dsd=dict(self.dsd),
-            permissions=list(self.permissions),
-            grants=list(self.grants),
-            assignments=list(self.assignments),
-            scopes=list(self.scopes),
-            scoped_grants=list(self.scoped_grants),
-            scoped_assignments=list(self.scoped_assignments),
-            **{f: list(getattr(self, f)) for f in DESCRIPTOR_OPS},
-        )
+        return replace(self, **{
+            name: value.copy() for name, value in vars(self).items()
+            if isinstance(value, (list, dict))})
 
 
 def row_of(item) -> tuple:

@@ -442,8 +442,9 @@ def fold(engine: Any, record: dict[str, Any],
         sid = data["id"]
         if sid in model.sessions:
             for role in model.sessions[sid].active_roles:
-                engine.current_activation.pop((sid, role), None)
-                engine.activation_started.pop((sid, role), None)
+                key = (sid, role)
+                engine.current_activation.pop(key, None)
+                engine.activation_started.pop(key, None)
             model.delete_session_record(sid)
         for key in [key for key in lost if key[0] == sid]:
             del lost[key]

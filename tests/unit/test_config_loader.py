@@ -1,11 +1,16 @@
 """Unit tests for the versioned config-set loader (YAML subset / JSON /
 raw DSL), canonicalisation and checksum identity."""
 
+import json
+
 import pytest
 
+from repro import ActiveRBACEngine
 from repro.config import ConfigSet, load_config, parse_config
 from repro.config.configset import policy_checksum
 from repro.config.loader import ConfigError
+from repro.policy.dsl import render_policy
+from repro.wal import Durability, recover
 
 YAML_DOC = """\
 version: 3
@@ -148,3 +153,76 @@ class TestConfigSet:
         config = parse_config(YAML_DOC)
         with pytest.raises(ValueError, match=">= 1"):
             ConfigSet.from_spec(config.spec, 0)
+
+
+SCOPED_DOC = {
+    "version": 1, "name": "clinic",
+    "roles": ["doctor", "nurse"], "users": ["alice", "bobby"],
+    "hierarchy": [{"senior": "doctor", "junior": "nurse"}],
+    "scopes": [{"name": "ward"}],
+    "permissions": [{"operation": "read", "object": "chart"},
+                    {"operation": "write", "object": "chart"}],
+    "grants": [{"role": "nurse", "operation": "read", "object": "chart"},
+               {"role": "doctor", "operation": "write",
+                "object": "chart", "scope": "ward"}],
+    "assignments": [{"user": "alice", "role": "doctor"},
+                    {"user": "bobby", "role": "nurse", "scope": "ward"}],
+}
+
+
+def _assert_names_held_once(engine):
+    """Every user and role name in an assignment, grant or scoped row
+    is the declared entry's string, and the model's one copy."""
+    spec, names = engine.policy, engine.model.names
+    rows = [*spec.assignments, *spec.scoped_assignments]
+    assert rows and spec.grants and spec.scoped_grants
+    for user, role, *_ in rows:
+        assert user is spec.users[user].name is names[user]
+        assert role is spec.roles[role].name is names[role]
+    for role, operation, obj, *_ in [*spec.grants, *spec.scoped_grants]:
+        assert role is spec.roles[role].name is names[role]
+        assert operation is names[operation] and obj is names[obj]
+    for senior, junior in spec.hierarchy:
+        assert senior is names[senior] and junior is names[junior]
+
+
+class TestNamesHeldOnce:
+    @pytest.mark.parametrize("fmt", ["json", "yaml", "rbac"])
+    def test_loaded_policy_shares_the_model_names(self, fmt):
+        if fmt == "json":
+            text = json.dumps(SCOPED_DOC)
+        else:
+            dsl = render_policy(parse_config(json.dumps(SCOPED_DOC),
+                                             "json").spec)
+            text = dsl if fmt == "rbac" else (
+                "version: 1\npolicy: |\n"
+                + "".join(f"  {line}\n" for line in dsl.splitlines()))
+        config = parse_config(text, fmt, version=1)
+        _assert_names_held_once(ActiveRBACEngine(config.spec))
+
+    def test_structured_yaml_shares_the_model_names(self):
+        config = parse_config(STRUCTURED_DOC)
+        engine = ActiveRBACEngine(config.spec)
+        user, role = config.spec.assignments[0]
+        assert user is config.spec.users["alice"].name
+        assert role is config.spec.roles["doctor"].name
+        assert role is engine.model.names["doctor"]
+
+    def test_recovered_policy_shares_the_model_names(self, tmp_path):
+        engine = ActiveRBACEngine(
+            parse_config(json.dumps(SCOPED_DOC), "json").spec)
+        durability = Durability(engine, str(tmp_path), batch_size=1)
+        engine.grant_permission("nurse", "write", "chart")
+        durability.close()
+        revived, _ = recover(str(tmp_path))
+        assert ("nurse", "write", "chart") in revived.policy.grants
+        _assert_names_held_once(revived)
+
+    def test_admin_op_rows_share_the_declared_names(self):
+        engine = ActiveRBACEngine(
+            parse_config(json.dumps(SCOPED_DOC), "json").spec)
+        # names decoded from a request are fresh strings
+        user, role = json.loads('["bobby", "doctor"]')
+        engine.apply(("assign_user", user, role))
+        assert (user, role) in engine.policy.assignments
+        _assert_names_held_once(engine)

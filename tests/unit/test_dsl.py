@@ -253,3 +253,23 @@ class TestRoundTrip:
         assert second.object_policies == first.object_policies
         assert second.threshold_policies == first.threshold_policies
         assert second.hierarchy_limited == first.hierarchy_limited
+
+
+class TestThresholdTagsRoundTrip:
+    def test_disable_rule_tags_survive_render_and_parse(self):
+        from repro.security.monitor import ThresholdPolicy
+        spec = parse_policy("policy P { role R; }")
+        spec.threshold_policies.append(ThresholdPolicy(
+            name="T", threshold=3, group_by=None,
+            disable_rule_tags=ThresholdPolicy.tags(
+                {"role:R": "1", "kind": "checkAccess"}, {}, {"kind": "x"}),
+            lockout_duration=30.0))
+        rendered = render_policy(spec)
+        assert parse_policy(rendered) == spec
+        assert render_policy(parse_policy(rendered)) == rendered
+
+    def test_disable_clause_parses(self):
+        spec = parse_policy("""policy P { threshold t count 2 window 10
+            disable kind == checkAccess disable "role:R" == "1"; }""")
+        assert spec.threshold_policies[0].disable_rule_tags == (
+            (("kind", "checkAccess"),), (("role:R", "1"),))

@@ -76,6 +76,12 @@ class TestCompile:
         assert pm & (1 << pid[("read", "memo")])
         assert not pm & (1 << pid[("read", "ledger")])
 
+    def test_stats_count_the_model(self, kernel):
+        stats, model = kernel.stats(), kernel.engine.model
+        assert stats["users"] == len(model.users) > 0
+        assert stats["operations"] == len(model.operations)
+        assert stats["objects"] == len(model.objects)
+
     def test_ssd_conflict_pairs(self, kernel):
         pairs = kernel.ssd_conflict_pairs()
         assert ("Approval", "AC", "PC") in pairs or \

@@ -9,8 +9,10 @@ import pytest
 
 from repro import ActiveRBACEngine, parse_policy
 from repro.config import ConfigSet, PolicyLifecycle, RolloutBudget
+from repro.config.configset import policy_checksum
 from repro.config.lifecycle import ShadowComparator, load_version
-from repro.config.loader import ConfigError
+from repro.config.loader import ConfigError, parse_config
+from repro.policy.dsl import render_policy
 
 BASE = """
 policy p {
@@ -296,3 +298,48 @@ class TestTransitions:
             os.path.join(str(tmp_path), "configs", "v1.rbac"))
         with pytest.raises(ConfigError, match="no persisted config"):
             load_version(str(tmp_path), 9)
+
+
+class TestSharedBootSpec:
+    """The booted engine and the adopted config set hold one spec; the
+    engine's first edit copies it, so the active set never moves."""
+
+    def boot(self, tmp_path):
+        config = parse_config(BASE, "rbac", version=1)
+        engine = ActiveRBACEngine(config.spec)
+        lifecycle = PolicyLifecycle(engine, state_dir=str(tmp_path))
+        lifecycle.adopt(config=config)
+        return engine, lifecycle
+
+    def test_boot_shares_one_spec_and_keeps_no_text(self, tmp_path):
+        engine, lifecycle = self.boot(tmp_path)
+        active = lifecycle.active
+        assert engine.policy is active.spec
+        assert active.source is None
+        persisted = (tmp_path / "configs" / "v1.rbac").read_text()
+        assert persisted == render_policy(active.spec)
+        assert policy_checksum(persisted) == active.checksum
+
+    def test_first_admin_op_leaves_the_active_set_unchanged(self, tmp_path):
+        engine, lifecycle = self.boot(tmp_path)
+        active = lifecycle.active
+        adopted_text = render_policy(active.spec)
+        engine.grant_permission("nurse", "write", "chart")
+        assert engine.policy is not active.spec
+        assert ("nurse", "write", "chart") in engine.policy.grants
+        assert lifecycle.active is active
+        assert render_policy(active.spec) == adopted_text
+        assert policy_checksum(adopted_text) == active.checksum
+        # the stage diff base is still the adopted set, not the live
+        # policy: a candidate adding the same grant is a real change
+        report = lifecycle.stage(ConfigSet.from_spec(candidate_spec(
+            extra_grant=("nurse", "write", "chart")), 2))
+        assert report["diff"]["ops"] == ["grant"]
+
+    def test_adopting_the_live_policy_shares_it_too(self, engine, tmp_path):
+        lifecycle = PolicyLifecycle(engine, state_dir=str(tmp_path))
+        engine.grant_permission("nurse", "write", "chart")
+        lifecycle.adopt(1)
+        assert engine.policy is lifecycle.active.spec
+        engine.revoke_permission("nurse", "write", "chart")
+        assert ("nurse", "write", "chart") in lifecycle.active.spec.grants
