@@ -15,15 +15,14 @@ The differ answers two different questions about a config push:
    a permission registration changes only model state read at decision
    time, so it regenerates **zero** rules — and every rule object that
    is not regenerated keeps its identity, which is what lets
-   quarantine and counter state survive a policy push (see
-   ``synthesis/regenerate.py``).
+   quarantine and counter state survive a policy push.
 
-Rule-relevance is computed from a per-role signature covering exactly
-the inputs of :meth:`RuleGenerator.generate_role_rules`: hierarchy
-participation, DSD membership, cardinality, the temporal descriptors
-(durations, enabling windows, disabling-time SoD), CFD descriptors
-(prerequisites, post-conditions, transactions), and access-context
-constraints.
+Rule-relevance is the one regeneration rule of admin ops and config
+swaps alike: a role changes when its
+:func:`~repro.synthesis.regenerate.rule_signatures` entry (exactly the
+inputs of :meth:`RuleGenerator.generate_role_rules`) moves.  The diff
+reports that set; the lifecycle applying the diff regenerates the
+roles whose signature its ops moved on the live policy.
 """
 
 from __future__ import annotations
@@ -32,26 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.policy.spec import DESCRIPTOR_OPS, ROW_OPS, PolicySpec, row_of
+from repro.synthesis.regenerate import moved_roles, rule_signatures
 
-__all__ = ["ConfigDiff", "diff_specs", "rule_signature"]
-
-
-def rule_signature(spec: PolicySpec, role: str) -> tuple:
-    """Everything about ``role`` that feeds its generated rule set."""
-    return (
-        # hierarchy participation picks the AAR variant; the incident
-        # edge set is included so an edge swap regenerates both ends
-        tuple(sorted(edge for edge in spec.hierarchy if role in edge)),
-        tuple(sorted(
-            (name, tuple(sorted(sod.roles)), sod.cardinality)
-            for name, sod in spec.dsd.items() if role in sod.roles)),
-        spec.roles[role].max_active_users if role in spec.roles else None,
-        # the extension descriptors the role's rules read
-        *(frozenset(item for item in getattr(spec, field)
-                    if role in descriptor.readers(item))
-          for field, descriptor in DESCRIPTOR_OPS.items()
-          if descriptor.readers),
-    )
+__all__ = ["ConfigDiff", "diff_specs"]
 
 
 @dataclass
@@ -59,8 +41,8 @@ class ConfigDiff:
     """The computed delta between two policy specs.
 
     ``model_ops`` is the ordered edit script of op-table ops (applied
-    by the lifecycle as one swap); ``changed_roles`` is the
-    rule-relevant seed set regeneration starts from.
+    by the lifecycle as one swap); ``changed_roles`` holds the
+    surviving roles whose rule signature moves.
     """
 
     added_roles: set[str] = field(default_factory=set)
@@ -77,7 +59,7 @@ class ConfigDiff:
 
     @property
     def regen_seeds(self) -> set[str]:
-        """Seed roles for incremental regeneration: surviving roles
+        """The roles applying the diff regenerates: surviving roles
         whose rules changed, plus brand-new roles (their rules do not
         exist yet).  Removed roles are retired, not regenerated."""
         return self.changed_roles | self.added_roles
@@ -207,7 +189,6 @@ def diff_specs(old: PolicySpec, new: PolicySpec) -> ConfigDiff:
                    for item in getattr(new, field) if item not in kept)
 
     # -- rule-relevant role changes (see module docstring)
-    for role in sorted(survivors):
-        if rule_signature(old, role) != rule_signature(new, role):
-            diff.changed_roles.add(role)
+    diff.changed_roles = moved_roles(rule_signatures(old), new) \
+        - diff.added_roles
     return diff

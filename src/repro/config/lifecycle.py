@@ -25,12 +25,13 @@ versions:
    (:meth:`ActiveRBACEngine.apply`: session revocation, SoD enforcement,
    the validator's descriptor checks and audit all behave exactly as a
    hand-applied change would, and an op the live state refuses writes
-   nothing; extension descriptors are ops like any other), affected
-   rules are regenerated incrementally
-   (:func:`~repro.synthesis.regenerate.regenerate_diff` — untouched
-   rule objects keep their identity and their quarantine/counter
-   state), and the decision plane swaps in **one** epoch bump with an
-   eagerly recompiled kernel.  The WAL carries a single
+   nothing; extension descriptors are ops like any other), the roles
+   whose rule signature the batch moved are regenerated once, after
+   its last op (:func:`~repro.synthesis.regenerate.rule_signatures` —
+   the rule a single admin op follows too; untouched rule objects
+   keep their identity and their quarantine/counter state), and the
+   decision plane swaps in **one** epoch bump with an eagerly
+   recompiled kernel.  The WAL carries a single
    ``config.promote`` record with the version id and the full rendered
    post-swap policy; intermediate per-op epoch records are
    suppressed (the promotion is one logical swap).
@@ -62,6 +63,7 @@ from repro.config.differ import diff_specs
 from repro.config.loader import ConfigError
 from repro.errors import ReproError
 from repro.kernel import KERNEL_FALLBACK, KERNEL_GRANT
+from repro.synthesis.regenerate import moved_roles, rule_signatures
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine import ActiveRBACEngine
@@ -559,13 +561,15 @@ class PolicyLifecycle:
         live state no longer accepts is skipped, leaves no trace, and
         is reported, never fatal.  Only the delta moves, so policy
         drift outside it survives on both legs.
-        Rules regenerate once, after the last op, for the roles the
-        diff names; per-op ``policy.epoch`` WAL records are
+        Rules regenerate once, after the last op, for the roles whose
+        rule signature moved between the live policy before the first
+        op and after the last; per-op ``policy.epoch`` WAL records are
         suppressed — the caller logs the one swap record that carries
         the final policy.
         """
         engine = self.engine
         diff = diff_specs(old_spec, new_spec)
+        before = rule_signatures(engine.policy)
         skipped: list[dict[str, Any]] = []
         for op in diff.model_ops:
             try:
@@ -574,10 +578,11 @@ class PolicyLifecycle:
                 skipped.append({"op": op[0],
                                 "args": [repr(a) for a in op[1:]],
                                 "error": str(exc)})
-        from repro.synthesis.regenerate import regenerate_diff
-        report = regenerate_diff(engine, diff)
+        roles = moved_roles(before, engine.policy)
+        report = engine._regenerate(roles) if roles else None
         return {"diff": diff.summary(), "skipped": skipped,
-                "regenerated": sorted(report.affected_roles)}
+                "regenerated": sorted(report.affected_roles
+                                      if report else ())}
 
     def _swap(self, op: str, **data: Any) -> dict[str, Any]:
         """The atomic decision-plane swap: one epoch bump, one WAL

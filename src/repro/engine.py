@@ -58,6 +58,11 @@ from repro.rules.manager import RuleManager
 from repro.rules.rule import RuleOutcome
 from repro.security.audit import AuditLog
 from repro.security.monitor import ActiveSecurityMonitor
+from repro.synthesis.regenerate import (
+    moved_roles,
+    regenerate_roles,
+    rule_signatures,
+)
 
 
 class MonotonicSequence:
@@ -241,8 +246,10 @@ class ActiveRBACEngine(EnforcementHelpers):
         alone, so a descriptor op's step is its guard (the validator's
         checks) plus the side effect it needs.  One tail follows: the
         same op applied to
-        ``self.policy`` (:meth:`PolicySpec.apply`), rule regeneration,
-        the audit record, and the epoch bump with its WAL record.  A
+        ``self.policy`` (:meth:`PolicySpec.apply`), regeneration of the
+        roles whose rule signature it moved
+        (:func:`~repro.synthesis.regenerate.rule_signatures`), the
+        audit record, and the epoch bump with its WAL record.  A
         raising op writes nothing; an op that leaves the policy as it
         was skips the tail after ``PolicySpec.apply``.  Returns the
         regeneration report, if any.  ``batch=True`` (a config swap)
@@ -257,12 +264,14 @@ class ActiveRBACEngine(EnforcementHelpers):
         if name in SCOPED.values() and args[-1] == SCOPE_ROOT:
             raise AdministrationError(
                 f"{name}: the root scope is the flat op; omit the scope")
-        roles = step(self, *args)
+        step(self, *args)
         if self._policy_shared:
             self.policy, self._policy_shared = self.policy.clone(), False
+        before = None if batch else rule_signatures(self.policy)
         if not self.policy.apply(op):
             return None
-        report = self._regenerate(roles) if roles and not batch else None
+        roles = set() if batch else moved_roles(before, self.policy)
+        report = self._regenerate(roles) if roles else None
         if kind is not None:
             self.audit.record(kind, **dict(zip(keys, args)))
         self._note_policy_change(None if batch else "policy.epoch")
@@ -302,8 +311,8 @@ class ActiveRBACEngine(EnforcementHelpers):
 
     def delete_role(self, name: str) -> None:
         """Delete a role everywhere: constraints mentioning it are
-        scrubbed from the policy and its cross-role partners'
-        rules regenerated."""
+        scrubbed from the policy, and the roles that shared one with it
+        regenerate."""
         self.apply(("delete_role", name))
 
     def add_permission(self, operation: str, obj: str) -> None:
@@ -342,11 +351,10 @@ class ActiveRBACEngine(EnforcementHelpers):
         self.apply(("deassign_scoped", user, role, scope))
 
     def _regenerate(self, roles: set[str]) -> Any:
-        """Regenerate the rules of roles whose relationship flags may
-        have changed (hierarchy participation selects the AAR variant,
-        DSD membership adds the checkDynamicSoDSet condition)."""
-        from repro.synthesis.regenerate import regenerate_roles
-        return regenerate_roles(self, roles & set(self.policy.roles))
+        """Regenerate the rules of live roles whose rule signature
+        moved (hierarchy participation selects the AAR variant, DSD
+        membership adds the checkDynamicSoDSet condition, ...)."""
+        return regenerate_roles(self, roles)
 
     def add_inheritance(self, senior: str, junior: str) -> None:
         self.apply(("add_inheritance", senior, junior))
@@ -1114,16 +1122,15 @@ def with_scope(op: tuple[Any, ...], scope: str | None) -> tuple[Any, ...]:
     return (SCOPED[op[0]], *op[1:], scope)
 
 
-# -- steps: guards, then the model write; each returns the roles whose
-# rules the tail regenerates once the policy reflects the op
+# -- steps: guards, then the model write.  Which rules regenerate is
+# not a step's business: the tail regenerates the roles whose rule
+# signature the op moved, once the policy reflects it
 
 
-def _model(method: str, regen: Callable[..., set[str]] | None = None
-           ) -> Callable[..., set[str] | None]:
+def _model(method: str) -> Callable[..., None]:
     """A step that is one model write, guarded by the model itself."""
-    def step(engine: ActiveRBACEngine, *args: Any) -> set[str] | None:
+    def step(engine: ActiveRBACEngine, *args: Any) -> None:
         getattr(engine.model, method)(*args)
-        return regen(*args) if regen is not None else None
     return step
 
 
@@ -1148,44 +1155,31 @@ _DEASSIGN = _rule("deassignUser")
 # helpers, so audit, the WAL and anchor cleanup all see it.
 
 
-def _delete_user(engine: ActiveRBACEngine, name: str) -> set[str]:
-    """The roles of the user's own duration constraints regenerate
-    without them."""
+def _delete_user(engine: ActiveRBACEngine, name: str) -> None:
     for session_id in engine.model.user_sessions(name):
         engine.commit_session_delete(session_id)
     if name in engine.locked_users:
         engine.unlock_user(name)
     engine.model.delete_user(name)
-    return {d.role for d in engine.policy.durations if d.user == name}
 
 
-def _delete_role(engine: ActiveRBACEngine, name: str) -> set[str]:
+def _delete_role(engine: ActiveRBACEngine, name: str) -> None:
     """Cross-role rules that involved the role (disabling-time SoD
     partners, CFD pairs, transaction anchors) retire with its own;
-    the partners regenerate from the scrubbed policy, or they would
-    silently lose their DR/ER/AAR rule."""
-    from repro.synthesis.regenerate import affected_roles
+    scrubbing the policy moves the partners' rule signatures, so they
+    regenerate without it."""
     if not engine.model.is_role_enabled(name):
         engine.commit_role_enabled(name, True)
     engine.force_deactivate_role(name)
-    partners = affected_roles(engine, {name}) - {name}
     engine.model.delete_role(name)
     engine.generator.remove_role_rules(name)
     engine.generator.remove_role_events(name)
-    return partners
 
 
 def _delete_inheritance(engine: ActiveRBACEngine, senior: str,
-                        junior: str) -> set[str]:
+                        junior: str) -> None:
     engine.model.delete_inheritance(senior, junior)
     engine.revalidate_activations()
-    return {senior, junior}
-
-
-def _delete_dsd(engine: ActiveRBACEngine, name: str) -> set[str]:
-    roles = set(engine.model.sod.dsd_named(name).roles)
-    engine.model.delete_dsd_set(name)
-    return roles
 
 
 def _assign_scoped(engine: ActiveRBACEngine, user: str, role: str,
@@ -1221,10 +1215,6 @@ def _deassign_scoped(engine: ActiveRBACEngine, user: str, role: str,
         engine.model.remove_assignment_scope(user, role, scope)
 
 
-def _named(name: str, *_: Any) -> set[str]:
-    return {name}
-
-
 def _enable_unwindowed(engine: ActiveRBACEngine, spec: PolicySpec) -> None:
     """A role whose enabling window the op clears is left enabled, as
     a policy without the window boots."""
@@ -1251,24 +1241,21 @@ _EFFECTS = {
 }
 
 
-def _descriptor(name: str, field: str) -> Callable[..., set[str] | None]:
+def _descriptor(name: str, field: str) -> Callable[..., None]:
     """The step of descriptor op ``name`` on the list ``field``.  A
     descriptor lives in the policy alone (the generator, the
     enforcement helpers and the registries read it there), so the
     tail's PolicySpec.apply is its only write; the step runs the op on
     a copy of the descriptor lists, and the validator's descriptor
     checks of the copy (and the item types' own, for a role as its own
-    prerequisite or a non-positive duration) are its guard.  Returns
-    the roles whose rules read an item the op adds or drops."""
-    readers = DESCRIPTOR_OPS[field].readers
-
-    def step(engine: ActiveRBACEngine, *args: Any) -> set[str] | None:
+    prerequisite or a non-positive duration) are its guard."""
+    def step(engine: ActiveRBACEngine, *args: Any) -> None:
         policy = engine.policy
         after = PolicySpec(roles=policy.roles, users=policy.users, **{
             f: list(getattr(policy, f)) for f in DESCRIPTOR_OPS})
         try:
             if not after.apply((name, *args)):
-                return None
+                return
         except ValueError as exc:
             raise PolicyValidationError([str(exc)]) from None
         issues = descriptor_issues(after)
@@ -1276,11 +1263,6 @@ def _descriptor(name: str, field: str) -> Callable[..., set[str] | None]:
             raise PolicyValidationError(issues)
         if field in _EFFECTS:
             _EFFECTS[field](engine, after)
-        if readers is None:
-            return None
-        before, now = getattr(policy, field), getattr(after, field)
-        return set().union(*(readers(item) for item in (*before, *now)
-                             if (item in before) != (item in now)))
     return step
 
 
@@ -1294,9 +1276,9 @@ OPS = {
     "set_user_max_roles": (_model("set_user_max_roles"),
                            "admin.set_user_max_roles",
                            ("user", "max_active_roles")),
-    "add_role": (_model("add_role", _named), "admin.add_role", ("role",)),
+    "add_role": (_model("add_role"), "admin.add_role", ("role",)),
     "delete_role": (_delete_role, "admin.delete_role", ("role",)),
-    "set_role_cardinality": (_model("set_role_cardinality", _named),
+    "set_role_cardinality": (_model("set_role_cardinality"),
                              "admin.set_role_cardinality",
                              ("role", "max_active_users")),
     "add_permission": (_model("add_permission"), "admin.add_permission",
@@ -1307,15 +1289,15 @@ OPS = {
     "revoke": (_model("revoke_permission"), "admin.revoke", _GRANT),
     "revoke_scoped": (_model("revoke_permission"), "admin.revoke",
                       (*_GRANT, "scope")),
-    "add_inheritance": (_model("add_inheritance", lambda *edge: set(edge)),
+    "add_inheritance": (_model("add_inheritance"),
                         "admin.add_inheritance", ("senior", "junior")),
     "delete_inheritance": (_delete_inheritance,
                            "admin.delete_inheritance", ("senior", "junior")),
     "create_ssd": (_model("create_ssd_set"), "admin.create_ssd", ("name",)),
     "delete_ssd": (_model("delete_ssd_set"), "admin.delete_ssd", ("name",)),
-    "create_dsd": (_model("create_dsd_set", lambda _, roles, *__: set(roles)),
+    "create_dsd": (_model("create_dsd_set"),
                    "admin.create_dsd", ("name",)),
-    "delete_dsd": (_delete_dsd, "admin.delete_dsd", ("name",)),
+    "delete_dsd": (_model("delete_dsd_set"), "admin.delete_dsd", ("name",)),
     "add_scope": (_model("add_scope"), "admin.add_scope",
                   ("scope", "parent")),
     "remove_scope": (_model("remove_scope"), "admin.remove_scope",

@@ -422,21 +422,9 @@ class ServeApp:
         skipped with the error reported — one bad tenant config never
         blocks the others.
         """
-        results: dict[str, Any] = {}
-        for shard in self.router.shards():
-            if shard.config_path is None:
-                continue
-            try:
-                report = shard.admin_op("reload", {})
-                self._reloads.labels(shard.name, "staged")._value += 1
-                results[shard.name] = report
-            except ReproError as exc:
-                self._reloads.labels(shard.name, "error")._value += 1
-                results[shard.name] = {"error": type(exc).__name__,
-                                       "message": str(exc)}
-                shard.engine.audit.record(
-                    "serve.reload.error", shard=shard.name,
-                    message=str(exc))
+        results = {shard.name: self._restage(shard, "serve.reload.error")
+                   for shard in self.router.shards()
+                   if shard.config_path is not None}
         if out is not None:
             print("reload: " + json.dumps(results, sort_keys=True,
                                           default=str),
@@ -470,20 +458,23 @@ class ServeApp:
             self._watch_state[shard.name] = signature
             if seen is None:
                 continue  # baseline: the booted config is not restaged
-            try:
-                report = shard.admin_op("reload", {})
-                outcome = ("unchanged" if report.get("unchanged")
-                           else "staged")
-                self._reloads.labels(shard.name, outcome)._value += 1
-                results[shard.name] = report
-            except ReproError as exc:
-                self._reloads.labels(shard.name, "error")._value += 1
-                results[shard.name] = {"error": type(exc).__name__,
-                                       "message": str(exc)}
-                shard.engine.audit.record(
-                    "serve.watch.error", shard=shard.name,
-                    message=str(exc))
+            results[shard.name] = self._restage(shard, "serve.watch.error")
         return results
+
+    def _restage(self, shard: Any, error_kind: str) -> dict[str, Any]:
+        """Re-read ``shard``'s config file and stage it: one SIGHUP or
+        watcher pass.  Counts the outcome (``staged``, ``unchanged`` or
+        ``error``) and audits a refused file as ``error_kind``."""
+        try:
+            report = shard.admin_op("reload", {})
+        except ReproError as exc:
+            self._reloads.labels(shard.name, "error")._value += 1
+            shard.engine.audit.record(error_kind, shard=shard.name,
+                                      message=str(exc))
+            return {"error": type(exc).__name__, "message": str(exc)}
+        outcome = "unchanged" if report.get("unchanged") else "staged"
+        self._reloads.labels(shard.name, outcome)._value += 1
+        return report
 
     async def _watch_loop(self) -> None:
         """The async config watcher: stat-poll every

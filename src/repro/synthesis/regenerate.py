@@ -7,6 +7,19 @@ process as all the low level semantic descriptions have to be changed
 manually.  When there are thousands of rules, it is highly error prone
 to change them manually." (paper §5)
 
+Which roles regenerate is decided by one rule: those whose
+:func:`rule_signatures` entry moved.  A signature covers exactly the
+inputs of :meth:`RuleGenerator.generate_role_rules
+<repro.synthesis.generator.RuleGenerator.generate_role_rules>` (the
+role's cardinality, its hierarchy edges, its DSD sets and the extension
+descriptors its rules read), so a grant, an assignment or a scope
+moves none, and every rule object not regenerated keeps its identity
+(and the quarantine and counter state riding on it).  An admin op
+(:meth:`ActiveRBACEngine.apply <repro.engine.ActiveRBACEngine.apply>`)
+compares the signatures just before and after it writes the policy; a
+config swap compares them once around its whole batch of ops, and the
+config differ reports the same set as its ``changed_roles``.
+
 Three strategies are implemented — they are the subjects of benchmarks
 B2 and B9:
 
@@ -34,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.extensions.context import ContextConstraint
 from repro.gtrbac.constraints import DisablingTimeSoD
 from repro.gtrbac.periodic import PeriodicInterval
-from repro.policy.spec import row_of
+from repro.policy.spec import DESCRIPTOR_OPS, PolicySpec, row_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine import ActiveRBACEngine
@@ -57,6 +70,45 @@ class RegenerationReport:
         return (f"regenerated {sorted(self.affected_roles)}: "
                 f"-{len(self.removed_rules)} / +{len(self.added_rules)} "
                 f"rule(s)")
+
+
+def rule_signatures(spec: PolicySpec) -> dict[str, tuple]:
+    """Role -> everything about it that feeds its generated rule set.
+
+    One pass over the generator's inputs: each role's cardinality, and
+    the set of hierarchy edges, DSD sets and extension descriptor items
+    naming it among their readers.  User entries, grants, assignments
+    and scopes are read at decision time, never by the generator, so
+    they are not part of any signature.
+    """
+    facts: dict[str, set] = {role: set() for role in spec.roles}
+
+    def note(roles: Iterable[str], fact: tuple) -> None:
+        for role in roles:
+            if role in facts:
+                facts[role].add(fact)
+
+    for edge in spec.hierarchy:
+        # the incident edges, not only the flag: an edge swap
+        # regenerates both ends
+        note(edge, ("hierarchy", edge))
+    for sod in spec.dsd.values():
+        note(sod.roles, ("dsd", sod.name, frozenset(sod.roles),
+                         sod.cardinality))
+    for field_name, descriptor in DESCRIPTOR_OPS.items():
+        if descriptor.readers is not None:
+            for item in getattr(spec, field_name):
+                note(descriptor.readers(item), (field_name, item))
+    return {role: (spec.roles[role].max_active_users, frozenset(held))
+            for role, held in facts.items()}
+
+
+def moved_roles(before: dict[str, tuple], spec: PolicySpec) -> set[str]:
+    """The roles of ``spec`` whose signature differs from ``before``
+    (:func:`rule_signatures` of an earlier policy): new roles included,
+    deleted roles excluded (their rules retire with them)."""
+    return {role for role, signature in rule_signatures(spec).items()
+            if before.get(role) != signature}
 
 
 def affected_roles(engine: "ActiveRBACEngine",
@@ -102,32 +154,6 @@ def regenerate_roles(engine: "ActiveRBACEngine",
     # recompile-on-regeneration contract explicit
     engine.invalidate_kernel()
     return report
-
-
-def regenerate_diff(engine: "ActiveRBACEngine",
-                    diff: "ConfigDiff") -> RegenerationReport:
-    """Regenerate exactly what a config diff requires — nothing more.
-
-    Earlier callers seeded :func:`regenerate_roles` with *every* role a
-    policy change mentioned, so a push that only moved grants or
-    assignments (decision-time model state, not rule shape) still
-    churned rules — and rule churn resets the quarantine and counter
-    state riding on each :class:`~repro.rules.rule.OWTERule` object.
-    The config differ computes the **rule-relevant** role set
-    (``diff.regen_seeds``: surviving roles whose generated rule inputs
-    changed, plus brand-new roles); this entry point regenerates that
-    seed set (closed over cross-role partners as usual) and leaves
-    every other rule object untouched — identity, fault counters and
-    quarantine flags survive the deployment.
-
-    Roles the diff removed must already be retired (the lifecycle's
-    apply step removes their rules/events before static state moves);
-    an empty seed set is a no-op report, with no version churn at all.
-    """
-    seeds = diff.regen_seeds & set(engine.policy.roles)
-    if not seeds:
-        return RegenerationReport()
-    return regenerate_roles(engine, seeds)
 
 
 def full_regeneration(engine: "ActiveRBACEngine") -> RegenerationReport:
@@ -195,9 +221,9 @@ class PolicyEditor:
     Each method is one op of the engine's one op table
     (:meth:`ActiveRBACEngine.apply <repro.engine.ActiveRBACEngine.apply>`):
     it checks the validator's rules before it writes, regenerates the
-    rules of the roles it touches, and ends in the epoch/WAL tail, so
-    every edit is guarded, audited and durable.  Each returns the
-    regeneration report (None when the edit changed nothing).
+    rules of the roles whose signature it moves, and ends in the
+    epoch/WAL tail, so every edit is guarded, audited and durable.
+    Each returns the regeneration report (None when no rule changed).
     """
 
     def __init__(self, engine: "ActiveRBACEngine") -> None:

@@ -10,8 +10,8 @@ and purposes, so many ops must fail.  After every op:
 * **a raising op writes nothing** — ``persistence.snapshot(engine)``
   (apart from its id counters and clock tiebreak) and the model view
   are exactly as before, and the policy epoch did not move;
-* **one source of truth** — the model view equals the view of an engine
-  rebuilt from ``render_policy(engine.policy)``;
+* **one source of truth** — the model view and the rule pool's names
+  equal those of an engine rebuilt from ``render_policy(engine.policy)``;
 * **the validator accepts the policy** — ``validate_policy`` reports
   no issue;
 * **explain agrees with the check** on a fixed probe grid, for every
@@ -243,8 +243,8 @@ def test_generators_cover_the_op_table():
 
 def check_op(engine: ActiveRBACEngine, shard: Shard, step: tuple) -> None:
     """Run one step; a raising step must leave no trace, and either
-    way the model must equal the one its policy rebuilds, and the
-    validator must accept the policy."""
+    way the model and the rule pool must equal the ones its policy
+    rebuilds, and the validator must accept the policy."""
     before_state, before_view = frozen_state(engine), model_view(engine)
     try:
         run_step(engine, shard, step)
@@ -253,6 +253,8 @@ def check_op(engine: ActiveRBACEngine, shard: Shard, step: tuple) -> None:
         assert model_view(engine) == before_view, step
     rebuilt = ActiveRBACEngine(parse_policy(render_policy(engine.policy)))
     assert model_view(rebuilt) == model_view(engine), step
+    assert {rule.name for rule in engine.rules} \
+        == {rule.name for rule in rebuilt.rules}, step
     assert validate_policy(engine.policy) == [], step
 
 

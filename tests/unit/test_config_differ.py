@@ -6,8 +6,13 @@ not change rule shape."""
 import pytest
 
 from repro import ActiveRBACEngine, parse_policy
-from repro.config.differ import diff_specs, rule_signature
-from repro.synthesis.regenerate import regenerate_diff
+from repro.config.differ import diff_specs
+from repro.synthesis.regenerate import (
+    RegenerationReport,
+    moved_roles,
+    regenerate_roles,
+    rule_signatures,
+)
 
 BASE = """
 policy p {
@@ -29,6 +34,18 @@ policy p {
 
 def spec():
     return parse_policy(BASE)
+
+
+def swap(engine, new):
+    """Move ``engine`` to ``new`` as a config swap does: the diff's ops
+    as one batch, then one regeneration of the roles whose rule
+    signature the batch moved."""
+    before = rule_signatures(engine.policy)
+    for op in diff_specs(engine.policy, new).model_ops:
+        engine.apply(op, batch=True)
+    roles = moved_roles(before, engine.policy)
+    return regenerate_roles(engine, roles) if roles \
+        else RegenerationReport()
 
 
 class TestDiffSpecs:
@@ -98,14 +115,14 @@ class TestRuleSignature:
     def test_signature_ignores_grants(self):
         new = spec()
         new.grants.append(("clerk", "read", "chart"))
-        assert rule_signature(spec(), "clerk") \
-            == rule_signature(new, "clerk")
+        assert rule_signatures(spec())["clerk"] \
+            == rule_signatures(new)["clerk"]
 
     def test_signature_sees_cardinality(self):
         new = spec()
         new.add_role("clerk", 2)
-        assert rule_signature(spec(), "clerk") \
-            != rule_signature(new, "clerk")
+        assert rule_signatures(spec())["clerk"] \
+            != rule_signatures(new)["clerk"]
 
 
 class TestRuleIdentityPreservation:
@@ -118,7 +135,7 @@ class TestRuleIdentityPreservation:
         new = spec()
         new.grants.append(("clerk", "read", "chart"))
         before = {rule.name: id(rule) for rule in engine.rules}
-        report = regenerate_diff(engine, diff_specs(engine.policy, new))
+        report = swap(engine, new)
         assert report.rules_touched == 0
         assert {rule.name: id(rule) for rule in engine.rules} == before
 
@@ -136,10 +153,7 @@ class TestRuleIdentityPreservation:
 
         new = spec()
         new.durations.append(DurationConstraint("nurse", 60.0, None))
-        diff = diff_specs(engine.policy, new)
-        engine.policy.durations.append(
-            DurationConstraint("nurse", 60.0, None))
-        report = regenerate_diff(engine, diff)
+        report = swap(engine, new)
 
         assert report.affected_roles == {"nurse"}
         after = {rule.name: id(rule) for rule in engine.rules}
@@ -159,12 +173,12 @@ class TestRuleIdentityPreservation:
         diff = diff_specs(engine.policy, new)
         # clerk is removed, not regenerated; seeds must not include it
         assert "clerk" not in diff.regen_seeds
-        report = regenerate_diff(engine, diff)
+        report = swap(engine, new)
         assert "clerk" not in report.affected_roles
 
     def test_empty_seed_set_is_a_true_noop(self):
         engine = ActiveRBACEngine.from_policy(spec())
         version_before = engine.rules.version
-        report = regenerate_diff(engine, diff_specs(spec(), spec()))
+        report = swap(engine, spec())
         assert report.rules_touched == 0
         assert engine.rules.version == version_before

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ActiveRBACEngine, parse_policy
+from repro.config import ConfigSet, PolicyLifecycle
 from repro.gtrbac.periodic import PeriodicInterval
 from repro.synthesis.regenerate import (
     PolicyEditor,
@@ -237,3 +238,35 @@ class TestGuardedEdits:
         assert edit(editor) is None
         assert persistence.snapshot(engine) == before
         assert engine.policy_epoch == epoch
+
+
+class TestOneRegenerationRule:
+    """Deleting a role moves the rule signature of every role it shared
+    a hierarchy edge or a DSD set with.  The single admin op, a config
+    swap and a fresh boot of the resulting policy must then hold the
+    same rules: here ``B`` is left with neither, so ``AAR1.B``."""
+
+    @pytest.mark.parametrize("policy", [
+        "policy p { role A; role B; role C; hierarchy A > B; }",
+        "policy p { role A; role B; role C; "
+        "dsd D roles A, B cardinality 2; }",
+    ], ids=["only-hierarchy-neighbour", "dsd-below-cardinality"])
+    def test_deleting_the_partner_agrees_on_every_path(self, policy):
+        spec = parse_policy(policy)
+        after = spec.clone()
+        after.apply(("delete_role", "A"))
+
+        single = ActiveRBACEngine.from_policy(spec)
+        single.apply(("delete_role", "A"))
+        swapped = ActiveRBACEngine.from_policy(spec)
+        lifecycle = PolicyLifecycle(swapped)
+        lifecycle.adopt(1)
+        lifecycle.stage(ConfigSet.from_spec(after, 2))
+        lifecycle.promote(force=True)
+        booted = ActiveRBACEngine.from_policy(after)
+
+        def names(engine):
+            return {rule.name for rule in engine.rules}
+        assert "AAR1.B" in names(booted)
+        assert names(single) == names(booted)
+        assert names(swapped) == names(booted)

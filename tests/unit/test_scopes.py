@@ -421,6 +421,17 @@ class TestConfigWatcher:
         app.poll_config_files()
         assert shard.ensure_lifecycle().status()["phase"] == "idle"
 
+    def test_unchanged_sighup_reread_counts_unchanged(self, tmp_path):
+        # SIGHUP and the watcher share one stage pass, so an unchanged
+        # re-read is counted the same way by both
+        app, shard, _ = self._boot(tmp_path)
+        assert app.reload_configs()["t"]["unchanged"] is True
+        assert shard.ensure_lifecycle().status()["phase"] == "idle"
+        text = app.metrics.render_prometheus()
+        assert ('repro_serve_config_reloads_total{shard="t",'
+                'outcome="unchanged"} 1') in text
+        assert 'outcome="staged"' not in text
+
     def test_watcher_off_by_default(self):
         from repro.serve import ServeApp, ShardRouter
 
