@@ -323,8 +323,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         for path in ("grant", "deny", "fallback")
     }
     # the fallback-reason taxonomy split (cumulative across recompiles,
-    # including engine-level bypasses; kernel.stats()["fallbacks"] is
-    # the per-kernel view of the kernel-internal subset)
+    # including engine-level bypasses)
     report["fallback_reasons"] = {
         labels["reason"]: child.value
         for labels, child in engine.obs.kernel_fallbacks.series()

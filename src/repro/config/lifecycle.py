@@ -12,13 +12,15 @@ versions:
    untouched).  The engine's decision tap starts mirroring live check
    traffic into a :class:`ShadowComparator`.
 2. **shadow-compare** — every live decision served by the *kernel*
-   path is re-decided by the candidate kernel via
-   :meth:`~repro.kernel.PolicyKernel.evaluate_stateless` (the live
-   session's active role set is the input; runtime state stays with
-   the live engine).  Decisions either side classifies dynamic
-   (context gates, privacy, interpreted-path fallbacks) are tallied
-   *indeterminate*, never divergent — the canary only ever compares
-   statically comparable answers.
+   path is re-decided by the candidate kernel's one role loop,
+   :meth:`~repro.kernel.PolicyKernel.decide`, the loop live checks
+   run too (the live session's active roles the candidate compiled
+   and the live user are the input, so the candidate's assignment
+   scope bounds apply; runtime state stays with the live engine).
+   Decisions either side classifies dynamic (context gates, privacy,
+   interpreted-path fallbacks) are tallied *indeterminate*, never
+   divergent — the canary only ever compares statically comparable
+   answers.
 3. **promote** — once the :class:`RolloutBudget` is satisfied (enough
    comparable samples, divergence and error counts inside budget), the
    delta is applied through the one administrative op table
@@ -128,11 +130,6 @@ class ShadowComparator:
                 operation: str, obj: str, granted: bool,
                 scope: str | None = None) -> None:
         self.observed += 1
-        if scope is not None:
-            # scoped checks depend on assignment bounds the stateless
-            # shadow evaluation cannot see — not comparable
-            self.indeterminate += 1
-            return
         if path != "kernel":
             # the live answer came from the interpreted pipeline —
             # something about it was dynamic, so the static shadow
@@ -141,13 +138,15 @@ class ShadowComparator:
             return
         try:
             session = self.engine.model.sessions.get(session_id)
-            if session is None or (user is not None
-                                   and user in self.engine.locked_users):
+            if session is None or session.user in self.engine.locked_users:
                 # runtime deny causes the shadow kernel cannot see
                 self.indeterminate += 1
                 return
-            verdict, _reason = self.kernel.evaluate_stateless(
-                tuple(session.active_roles), operation, obj)
+            # a role the shadow policy does not define grants nothing
+            known = self.kernel.grant_masks
+            verdict, _reason = self.kernel.decide(
+                [role for role in session.active_roles if role in known],
+                session.user, operation, obj, scope)
         except Exception:  # noqa: BLE001 - shadow faults are tallied
             self.errors += 1
             return

@@ -132,6 +132,8 @@ class ActiveRBACEngine(EnforcementHelpers):
         #: compiled lazily (see :meth:`kernel`), never persisted.
         self.kernel_enabled = True
         self._kernel = None
+        #: reason of the most recent kernel fallback verdict (health())
+        self.kernel_last_fallback: str | None = None
         #: decision provenance: an always-on ring of the most recent
         #: decisions and rule firings, auto-dumped on quarantine trips,
         #: security lockouts and WAL recovery (see
@@ -519,13 +521,14 @@ class ActiveRBACEngine(EnforcementHelpers):
         if fallback_reason is None:
             if kernel is None:
                 kernel = self.kernel()
-            verdict = kernel.evaluate(session_id, operation, obj, scope)
+            verdict, fallback_reason = kernel.evaluate(
+                session_id, operation, obj, scope)
             if verdict >= 0:
                 self._commit_kernel_decision(
                     kernel, verdict == KERNEL_GRANT, session_id,
                     operation, obj, user, scope)
                 return "kernel"
-            fallback_reason = kernel.last_fallback
+            self.kernel_last_fallback = fallback_reason
             if obs.enabled:
                 obs._kernel_fallback._value += 1
         if obs.enabled:
@@ -1070,8 +1073,7 @@ class ActiveRBACEngine(EnforcementHelpers):
                 "scopes": {"kernel": kernel.scopes_version,
                            "engine": self.model.scopes.version},
             },
-            "kernel_last_fallback": (None if kernel is None
-                                     else kernel.last_fallback),
+            "kernel_last_fallback": self.kernel_last_fallback,
             # policy lifecycle: which config version is live, what (if
             # anything) is staged, and why the last rollback happened
             "config_version": self.config_version,

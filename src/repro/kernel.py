@@ -12,13 +12,14 @@ firing a rule.
 What compilation bakes in (Ali & Fernández's static-enforcement view
 of RBAC, specialised to the paper's active-rule engine):
 
-* **interning** — users, roles, operations, objects and (operation,
-  object) permission pairs are mapped to dense integer ids;
+* **interning** — roles and (operation, object) permission pairs are
+  mapped to dense integer ids (users, operations and objects are only
+  counted: a decision never looks one up);
 * **hierarchy flattening** — the role hierarchy's reflexive-transitive
-  closure becomes one Python-int bitset per role (``seniors_mask`` /
-  ``juniors_mask``), replacing the repeated BFS walks of
-  :meth:`RoleHierarchy.seniors`;
-* **grant relation** — one permission bitmask per role
+  closure becomes one Python-int bitset of juniors per role
+  (``juniors_mask``), replacing the repeated BFS walks of
+  :meth:`RoleHierarchy.juniors_inclusive`;
+* **grant relation** — one permission bitmask per role name
   (``grant_masks``), folding the junior-closure union of
   :meth:`RBACModel.role_permissions` into a single AND at decision
   time;
@@ -29,9 +30,13 @@ of RBAC, specialised to the paper's active-rule engine):
   per-(user, role) scope bitsets — so a scoped check is the same
   AND-of-bitsets shape as a flat one;
 * **static SoD** — pairwise SSD conflict bitmasks (an analysis
-  artifact: assignment-time enforcement stays in the model);
-* **dispatch table** — the per-event rule lists, so the control plane
-  can audit which rules a given event reaches without re-filtering.
+  artifact: assignment-time enforcement stays in the model).
+
+One role loop, :meth:`PolicyKernel.decide`, answers every decision:
+:meth:`PolicyKernel.evaluate` serves live checks (CA-rule, session and
+lock checks, then ``decide`` over the session's active roles), and the
+rollout canary (:class:`~repro.config.lifecycle.ShadowComparator`)
+calls ``decide`` on a candidate kernel with the live session's roles.
 
 What stays *dynamic* and forces a fallback to the interpreted OWTE
 pipeline (``KERNEL_FALLBACK``): roles gated by access-scoped context
@@ -46,9 +51,11 @@ The fallback is the correctness anchor — the differential property test
 answers to the interpreted pipeline's across random policies,
 mutations, and recovery.
 
-A kernel never mutates anything and is never persisted: snapshots and
-the WAL carry only the policy source, and recovery recompiles (see
-``persistence.py`` / ``wal.recover``).
+A kernel never mutates anything — a decision returns its fallback
+reason instead of tallying it (the engine owns the
+``repro_kernel_fallback_reasons_total`` counter) — and is never
+persisted: snapshots and the WAL carry only the policy source, and
+recovery recompiles (see ``persistence.py`` / ``wal.recover``).
 """
 
 from __future__ import annotations
@@ -56,32 +63,30 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any
 
+from repro.rbac.model import Permission
 from repro.rbac.scopes import SCOPE_ROOT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine import ActiveRBACEngine
 
-#: decision protocol: evaluate() returns one of these plain ints
+#: decision protocol: evaluate() and decide() return ``(verdict,
+#: reason)`` with one of these plain ints as the verdict; ``reason`` is
+#: None unless the verdict is KERNEL_FALLBACK, and then names one of the
+#: kernel-internal reasons of the provenance taxonomy
+#: (:data:`repro.obs.provenance.FALLBACK_REASONS`)
 KERNEL_GRANT = 1
 KERNEL_DENY = 0
 KERNEL_FALLBACK = -1
 
-#: evaluate() reasons a decision could not be compiled away, keyed for
-#: the stats()/CLI surface (monotonic per-kernel tallies).  These are
-#: the kernel-internal subset of the full provenance taxonomy
-#: (:data:`repro.obs.provenance.FALLBACK_REASONS`), which adds the
-#: engine-level bypass reasons classified before the kernel is
-#: consulted (deadline, diagnostics, observers, disabled).
-_FALLBACK_KEYS = (
-    "coverage", "quarantine", "instrumented", "unknown_entity",
-    "context_role", "privacy", "stale_privacy",
-)
+# prebuilt answers: the hot path allocates no tuple
+_GRANT = (KERNEL_GRANT, None)
+_DENY = (KERNEL_DENY, None)
 
 
 class PolicyKernel:
     """An immutable compiled view of one policy epoch.
 
-    Build with :meth:`compile` (or the constructor) against a live
+    Build with :func:`compile_kernel` (or the constructor) against a live
     engine; consult with :meth:`evaluate`.  The kernel holds **no
     mutable authority state** — sessions, active roles and user locks
     are read live through the engine reference at decision time, so a
@@ -91,13 +96,11 @@ class PolicyKernel:
 
     __slots__ = (
         "engine", "epoch", "rules_version", "detector_version",
-        "sizes", "role_ids", "perm_ids",
-        "role_names", "juniors_mask", "seniors_mask", "grant_masks",
+        "sizes", "role_ids", "perm_ids", "juniors_mask", "grant_masks",
         "context_roles_mask", "regulated_objects", "privacy_len",
-        "ssd_conflicts", "dispatch", "static_rules", "dynamic_rules",
-        "coverage_gap", "build_ns", "fallbacks", "last_fallback",
+        "ssd_conflicts", "coverage_gap", "build_ns",
         "_ca", "_ca_conditions", "_ca_actions", "_ca_alt_actions",
-        "_node", "_sessions", "_grant_by_role",
+        "_node", "_sessions",
         "scope_ids", "scope_anc_mask", "scopes_version",
         "_scoped_grant_by_role", "_scope_cover_by_role", "_scope_limited",
     )
@@ -117,7 +120,6 @@ class PolicyKernel:
         self.sizes = (len(model.users), len(model.operations),
                       len(model.objects))
         self.role_ids = {r: i for i, r in enumerate(sorted(model.roles))}
-        self.role_names = sorted(model.roles)
         self.perm_ids = {
             (p.operation, p.obj): i
             for i, p in enumerate(sorted(
@@ -125,37 +127,29 @@ class PolicyKernel:
         }
 
         # -- hierarchy closure bitsets ------------------------------------
-        # reflexive-transitive closure in both directions; one Python
-        # int per role replaces a BFS walk per authorization question
+        # reflexive-transitive junior closure; one Python int per role
+        # replaces a BFS walk per authorization question
         rid = self.role_ids
         # each role's closure is looked up once for the whole build
         closure = {role: hierarchy.juniors_inclusive(role) for role in rid}
         self.juniors_mask = [0] * len(rid)
-        self.seniors_mask = [0] * len(rid)
         for role, i in rid.items():
             mask = 0
             for junior in closure[role]:
                 mask |= 1 << rid[junior]
             self.juniors_mask[i] = mask
-        for role, i in rid.items():
-            bit = 1 << i
-            for j in range(len(self.juniors_mask)):
-                if self.juniors_mask[j] & bit:
-                    self.seniors_mask[i] |= 1 << j
 
         # -- grant relation: role -> permission bitmask -------------------
         # role_permissions() already folds the junior closure in, so the
         # flattening above and this union agree by construction
-        self.grant_masks = [0] * len(rid)
-        for role, i in rid.items():
+        self.grant_masks: dict[str, int] = {}
+        for role in rid:
             mask = 0
             for perm in model.role_permissions(role):
                 pid = self.perm_ids.get((perm.operation, perm.obj))
                 if pid is not None:
                     mask |= 1 << pid
-            self.grant_masks[i] = mask
-        self._grant_by_role = {
-            role: self.grant_masks[i] for role, i in rid.items()}
+            self.grant_masks[role] = mask
 
         # -- scope tree: interning + reflexive ancestor closure -----------
         # one bitset per scope replaces the parent-chain walk; a check
@@ -252,20 +246,6 @@ class PolicyKernel:
             for constraint in model.sod.ssd_sets()
         )
 
-        # -- rule dispatch table + static/dynamic classification ----------
-        from repro.rules.rule import EvalClass
-        self.dispatch = {}
-        self.static_rules = 0
-        self.dynamic_rules = 0
-        for rule in engine.rules:
-            self.dispatch.setdefault(rule.event, []).append(rule.name)
-            if rule.evaluation is EvalClass.STATIC:
-                self.static_rules += 1
-            else:
-                self.dynamic_rules += 1
-        self.dispatch = {
-            event: tuple(names) for event, names in self.dispatch.items()}
-
         # -- checkAccess fast-path coverage -------------------------------
         # The kernel may only answer when the interpreted pipeline would
         # have done exactly one thing: dispatch the checkAccess event to
@@ -278,12 +258,6 @@ class PolicyKernel:
         self._ca_alt_actions = ()
         self._node = None
         self.coverage_gap = self._check_coverage(engine)
-
-        self.fallbacks = dict.fromkeys(_FALLBACK_KEYS, 0)
-        #: reason of the most recent KERNEL_FALLBACK verdict; the
-        #: engine reads it right after evaluate() to label the
-        #: fallback-reason counter and the flight-recorder entry
-        self.last_fallback: str | None = None
         self.build_ns = time.perf_counter_ns() - start
 
     # -- compilation helpers ----------------------------------------------
@@ -350,95 +324,99 @@ class PolicyKernel:
     # -- the decision ------------------------------------------------------
 
     def evaluate(self, session_id: str, operation: str, obj: str,
-                 scope: str | None = None) -> int:
-        """Decide one checkAccess request from the compiled view.
+                 scope: str | None = None) -> tuple[int, str | None]:
+        """Decide one live checkAccess request from the compiled view.
 
-        Returns :data:`KERNEL_GRANT`, :data:`KERNEL_DENY`, or
-        :data:`KERNEL_FALLBACK` when the request touches anything the
-        compile classified as dynamic.  Pure: no events, no audit, no
-        counters — the engine wrapper owns side-effect parity.
+        Returns ``(verdict, reason)``: :data:`KERNEL_GRANT` or
+        :data:`KERNEL_DENY` with reason None, or :data:`KERNEL_FALLBACK`
+        with the reason the request touches something the compile
+        classified as dynamic.  Pure: no events, no audit, no counters,
+        no kernel attribute written — the engine wrapper owns
+        side-effect parity and the fallback-reason counter.
 
-        ``scope`` is the normalized S-A-O-C context (``None`` / root =
-        flat): a serving role must hold the permission flat or via a
-        scoped grant at an ancestor of ``scope``, and a scope-limited
-        assignment only serves scopes inside its bounds (never the
-        flat check).  Unknown scopes deny — fail closed.
+        Checks the live CA rule, the session and the user's lock here,
+        then lets :meth:`decide` answer for the session's active roles.
         """
         ca = self._ca
         if ca is None:
-            self.fallbacks["coverage"] += 1
-            self.last_fallback = "coverage"
-            return KERNEL_FALLBACK
+            return KERNEL_FALLBACK, "coverage"
         # Live rule state: quarantine/disable flips without a version
         # bump mid-dispatch are impossible (quarantine bumps version),
         # but the fault-injection harness *instruments* clauses by
         # reassigning the tuples — identity tells us the rule no longer
         # does what we compiled.
         if not ca.enabled or ca.quarantined:
-            self.fallbacks["quarantine"] += 1
-            self.last_fallback = "quarantine"
-            return KERNEL_FALLBACK
+            return KERNEL_FALLBACK, "quarantine"
         if (ca.conditions is not self._ca_conditions
                 or ca.actions is not self._ca_actions
                 or ca.alt_actions is not self._ca_alt_actions):
-            self.fallbacks["instrumented"] += 1
-            self.last_fallback = "instrumented"
-            return KERNEL_FALLBACK
+            return KERNEL_FALLBACK, "instrumented"
 
         session = self._sessions.get(session_id)
-        if session is None:
-            return KERNEL_DENY
-        if session.user in self.engine.locked_users:
-            return KERNEL_DENY
+        if session is None or session.user in self.engine.locked_users:
+            return _DENY
+        return self.decide(session.active_roles, session.user, operation,
+                           obj, scope)
 
+    def decide(self, roles, user: str | None, operation: str, obj: str,
+               scope: str | None = None) -> tuple[int, str | None]:
+        """The one role loop: may one of ``roles``, held by ``user``,
+        perform (operation, obj) at ``scope``?
+
+        ``scope`` is the normalized S-A-O-C context (``None`` / root =
+        flat): a serving role must hold the permission flat or via a
+        scoped grant at an ancestor of ``scope``, and a scope-limited
+        assignment of ``user`` only serves scopes inside its bounds
+        (never the flat check).  Unknown permission pairs and scopes
+        deny — fail closed.  A role the compile never saw falls back
+        (``unknown_entity``, a stale view); the rollout canary passes
+        only the roles its candidate compiled, so there a role the
+        candidate dropped grants nothing.  Returns ``(verdict,
+        reason)`` like :meth:`evaluate`.
+
+        The version triple keeps the kernel in lockstep with the model
+        through the engine's admin API.  An entity or privacy policy
+        the compile never saw but the engine holds *at the kernel's
+        own epoch* means someone mutated the model directly: fall back
+        rather than guess.  A kernel whose epoch has passed (a reader's
+        RCU reference, the rollout hold's previous kernel) answers the
+        policy it compiled.
+        """
+        engine = self.engine
         pid = self.perm_ids.get((operation, obj))
         if pid is None:
-            # The version triple keeps the kernel and the permission set
-            # in lockstep through the engine's admin API; a pair the
-            # compile never saw but the model now holds means someone
-            # mutated the model directly — fall back rather than guess.
-            if any(p.operation == operation and p.obj == obj
-                   for p in self.engine.model.permissions):
-                self.fallbacks["unknown_entity"] += 1
-                self.last_fallback = "unknown_entity"
-                return KERNEL_FALLBACK
-            return KERNEL_DENY
+            if (Permission(operation, obj) in engine.model.permissions
+                    and engine.policy_epoch == self.epoch):
+                return KERNEL_FALLBACK, "unknown_entity"
+            return _DENY
 
         anc = 0
         if scope is not None and scope != SCOPE_ROOT:
             sid = self.scope_ids.get(scope)
             if sid is None:
-                # same contract as permissions: a scope added through
-                # the admin API bumps the scope version and recompiles;
-                # one the compile never saw but the tree now holds means
-                # direct model mutation — fall back rather than guess
-                if scope in self.engine.model.scopes:
-                    self.fallbacks["unknown_entity"] += 1
-                    self.last_fallback = "unknown_entity"
-                    return KERNEL_FALLBACK
-                return KERNEL_DENY
+                if (scope in engine.model.scopes
+                        and engine.policy_epoch == self.epoch):
+                    return KERNEL_FALLBACK, "unknown_entity"
+                return _DENY
             anc = self.scope_anc_mask[sid]
 
         bit = 1 << pid
         ctx_mask = self.context_roles_mask
-        grant = self._grant_by_role
+        grant = self.grant_masks
         limited = self._scope_limited
         saw_dynamic = False
-        granted = False
-        for role in session.active_roles:
+        for role in roles:
             mask = grant.get(role)
             if mask is None:
                 # role created after compile: stale view
-                self.fallbacks["unknown_entity"] += 1
-                self.last_fallback = "unknown_entity"
-                return KERNEL_FALLBACK
+                return KERNEL_FALLBACK, "unknown_entity"
             if limited:
-                lim = limited.get((session.user, role))
+                lim = limited.get((user, role))
                 if lim is not None and (not anc or not lim & anc):
                     # scope-limited assignment: covers only its bound
                     # subtrees, never the flat/root check
                     continue
-            holds = bool(mask & bit)
+            holds = mask & bit
             if not holds and anc:
                 cover = self._scope_cover_by_role.get(role, 0) & anc
                 if cover:
@@ -449,104 +427,23 @@ class PolicyKernel:
                             holds = True
                             break
                         cover ^= low
-            if holds:
-                if ctx_mask and (1 << self.role_ids[role]) & ctx_mask:
-                    # context-gated role: only the interpreted predicate
-                    # can say whether the grant stands right now
-                    saw_dynamic = True
-                    continue
-                granted = True
-                break
-        if granted:
-            if len(self.engine.privacy._policies) != self.privacy_len:
-                self.fallbacks["stale_privacy"] += 1
-                self.last_fallback = "stale_privacy"
-                return KERNEL_FALLBACK
-            if obj in self.regulated_objects:
-                # purpose compliance + obligations are interpreted
-                self.fallbacks["privacy"] += 1
-                self.last_fallback = "privacy"
-                return KERNEL_FALLBACK
-            return KERNEL_GRANT
-        if saw_dynamic:
-            self.fallbacks["context_role"] += 1
-            self.last_fallback = "context_role"
-            return KERNEL_FALLBACK
-        return KERNEL_DENY
-
-    def evaluate_stateless(self, active_roles, operation: str,
-                           obj: str,
-                           scope: str | None = None) -> tuple[int, str | None]:
-        """Decide one check from the compiled policy alone.
-
-        The shadow-compare/replay primitive: the caller supplies the
-        session's active role set (runtime state lives with the *live*
-        engine; a candidate kernel compiled off to the side has no
-        sessions of its own) and owns the runtime deny cases — missing
-        session, locked user.  Returns ``(verdict, reason)`` where a
-        :data:`KERNEL_FALLBACK` verdict means the compiled policy
-        cannot answer statically (context-gated role, privacy-
-        regulated object) and carries the reason; no tallies move.
-        Roles the compiled policy does not know simply grant nothing —
-        under a *candidate* policy an unknown role is a policy
-        difference, not staleness.  ``scope`` applies grant scoping
-        only (there is no user here, so assignment limits cannot be
-        consulted — the shadow comparator tallies scoped decisions as
-        indeterminate before ever reaching this); unknown scopes deny.
-        """
-        pid = self.perm_ids.get((operation, obj))
-        if pid is None:
-            return KERNEL_DENY, None
-        anc = 0
-        if scope is not None and scope != SCOPE_ROOT:
-            sid = self.scope_ids.get(scope)
-            if sid is None:
-                return KERNEL_DENY, None
-            anc = self.scope_anc_mask[sid]
-        bit = 1 << pid
-        ctx_mask = self.context_roles_mask
-        grant = self._grant_by_role
-        saw_dynamic = False
-        for role in active_roles:
-            mask = grant.get(role)
-            holds = mask is not None and bool(mask & bit)
-            if not holds and anc:
-                cover = self._scope_cover_by_role.get(role, 0) & anc
-                while cover:
-                    low = cover & -cover
-                    if (self._scoped_grant_by_role[role]
-                            .get(low.bit_length() - 1, 0) & bit):
-                        holds = True
-                        break
-                    cover ^= low
             if not holds:
                 continue
-            if ctx_mask and role in self.role_ids \
-                    and (1 << self.role_ids[role]) & ctx_mask:
+            if ctx_mask and (1 << self.role_ids[role]) & ctx_mask:
+                # context-gated role: only the interpreted predicate
+                # can say whether the grant stands right now
                 saw_dynamic = True
                 continue
+            if (len(engine.privacy._policies) != self.privacy_len
+                    and engine.policy_epoch == self.epoch):
+                return KERNEL_FALLBACK, "stale_privacy"
             if obj in self.regulated_objects:
+                # purpose compliance + obligations are interpreted
                 return KERNEL_FALLBACK, "privacy"
-            return KERNEL_GRANT, None
+            return _GRANT
         if saw_dynamic:
             return KERNEL_FALLBACK, "context_role"
-        return KERNEL_DENY, None
-
-    def probe(self, session_id: str, operation: str, obj: str,
-              scope: str | None = None) -> tuple[int, str | None]:
-        """Tally-free :meth:`evaluate` for explanation mode.
-
-        Returns ``(verdict, fallback_reason)`` without perturbing the
-        per-kernel fallback tallies, so ``engine.explain`` never skews
-        the stats()/CLI surface.
-        """
-        before = dict(self.fallbacks)
-        previous = self.last_fallback
-        verdict = self.evaluate(session_id, operation, obj, scope)
-        reason = self.last_fallback if verdict == KERNEL_FALLBACK else None
-        self.fallbacks.update(before)  # same keys: in-place restore
-        self.last_fallback = previous
-        return verdict, reason
+        return _DENY
 
     # -- static analysis / introspection -----------------------------------
 
@@ -567,7 +464,13 @@ class PolicyKernel:
         return pairs
 
     def stats(self) -> dict[str, Any]:
-        """Flat introspection dict for the CLI and engine.stats()."""
+        """Flat introspection dict for the CLI and engine.stats().
+
+        The rule counts read the engine's rule pool now: only this
+        surface needs them, so the compile does not build them."""
+        from repro.rules.rule import EvalClass
+        rules = list(self.engine.rules)
+        static = sum(rule.evaluation is EvalClass.STATIC for rule in rules)
         return {
             "epoch": self.epoch,
             "rules_version": self.rules_version,
@@ -578,9 +481,9 @@ class PolicyKernel:
             "operations": self.sizes[1],
             "objects": self.sizes[2],
             "permissions": len(self.perm_ids),
-            "static_rules": self.static_rules,
-            "dynamic_rules": self.dynamic_rules,
-            "events_dispatched": len(self.dispatch),
+            "static_rules": static,
+            "dynamic_rules": len(rules) - static,
+            "events_dispatched": len({rule.event for rule in rules}),
             "context_gated_roles": bin(self.context_roles_mask).count("1"),
             "scopes": len(self.scope_ids),
             "scopes_version": self.scopes_version,
@@ -594,7 +497,6 @@ class PolicyKernel:
             "ssd_sets": len(self.ssd_conflicts),
             "ssd_conflict_pairs": len(self.ssd_conflict_pairs()),
             "coverage_gap": self.coverage_gap,
-            "fallbacks": dict(self.fallbacks),
         }
 
 

@@ -51,10 +51,11 @@ __all__ = [
 ]
 
 #: Every reason an access check can run interpreted instead of being
-#: answered by the compiled kernel.  Kernel-internal reasons mirror
-#: ``PolicyKernel.fallbacks``; the last four are engine-level bypasses
-#: that ``ActiveRBACEngine._kernel_bypass`` classifies before the
-#: kernel is even consulted.
+#: answered by the compiled kernel.  The first seven are the reasons
+#: ``PolicyKernel.evaluate`` returns beside a fallback verdict; the
+#: last four are engine-level bypasses that
+#: ``ActiveRBACEngine._kernel_bypass`` classifies before the kernel is
+#: even consulted.
 FALLBACK_REASONS = (
     "context_role",     # a granting role is gated by an access context
     "privacy",          # privacy-regulated object (purpose/obligations)
@@ -342,7 +343,7 @@ def _grant_chain(engine: "ActiveRBACEngine", kernel, role: str,
     pid = kernel.perm_ids.get((operation, obj))
     if rid is None or pid is None:
         return None, None
-    if not kernel.grant_masks[rid] & (1 << pid):
+    if not kernel.grant_masks[role] & (1 << pid):
         return None, None
     model = engine.model
     juniors = kernel.roles_in_mask(kernel.juniors_mask[rid])
@@ -406,7 +407,7 @@ def explain_decision(engine: "ActiveRBACEngine", session_id: str,
     on both the kernel and the interpreted path; the serving path is
     classified by the engine's one kernel gate (``_kernel_bypass``,
     with no budget: a live budget never moves a check off the kernel)
-    and a kernel probe (tally-free) supplies the fallback reason.
+    and the kernel's pure evaluate supplies the fallback reason.
 
     With ``scope``, the derivation is scope-aware: each role reports
     whether it holds the permission *at the scope* (and via which
@@ -426,7 +427,8 @@ def explain_decision(engine: "ActiveRBACEngine", session_id: str,
     path = "interpreted"
     fallback_reason = engine._kernel_bypass(None)
     if fallback_reason is None:
-        verdict, reason = kernel.probe(session_id, operation, obj, scope)
+        verdict, reason = kernel.evaluate(session_id, operation, obj,
+                                          scope)
         if verdict >= 0:
             path = "kernel"
         else:

@@ -378,7 +378,7 @@ class Shard:
 
         The degraded-mode read path the front-end serves while this
         shard's circuit breaker is open: no engine pipeline, no
-        session provisioning, no events — one pure probe against the
+        session provisioning, no events — one pure evaluate against the
         last-good published kernel epoch.  Strictly fail-closed:
 
         * a caller with no already-live served session is denied (a
@@ -398,15 +398,15 @@ class Shard:
             self.scoped_checks += 1
         kernel = self._kernel
         sid = self._sessions.get(user)
-        verdict, reason = KERNEL_GRANT + 1, "no_kernel"  # placeholder
-        allowed = False
-        if kernel is not None and sid is not None:
-            # probe() is the tally-free evaluate: no fallback counters
-            # move, so the taxonomy only ever reflects the live path
-            verdict, reason = kernel.probe(sid, operation, obj, scope)
-            allowed = verdict == KERNEL_GRANT
-        elif sid is None:
-            reason = "no_session"
+        allowed, reason = False, "no_session"
+        if sid is not None:
+            reason = "no_kernel"
+            if kernel is not None:
+                # evaluate is pure: no fallback counter moves, so the
+                # taxonomy only ever reflects the live path
+                verdict, reason = kernel.evaluate(sid, operation, obj,
+                                                  scope)
+                allowed = verdict == KERNEL_GRANT
         engine = self.engine
         engine.flight.note_decision(
             engine.clock.now, "degraded", sid or "-", user, operation,

@@ -201,7 +201,7 @@ class TestEpochSwap:
                 "object": "doc"})
             old_kernel = shard.kernel
             sid = before["session"]
-            assert old_kernel.evaluate(sid, "edit", "doc") == KERNEL_DENY
+            assert old_kernel.evaluate(sid, "edit", "doc") == (KERNEL_DENY, None)
 
             status, swap = await client.request("POST", "/v1/admin", {
                 "domain": "alpha", "op": "grant",
@@ -220,8 +220,8 @@ class TestEpochSwap:
         assert after["epoch"] == swap["epoch"] > before["epoch"]
         # the old reference is frozen at its epoch and verdict
         assert old_kernel.epoch == before["epoch"]
-        assert old_kernel.evaluate(sid, "edit", "doc") == KERNEL_DENY
-        assert shard.kernel.evaluate(sid, "edit", "doc") == KERNEL_GRANT
+        assert old_kernel.evaluate(sid, "edit", "doc") == (KERNEL_DENY, None)
+        assert shard.kernel.evaluate(sid, "edit", "doc") == (KERNEL_GRANT, None)
         # readers never compiled: the published reference is the
         # engine's own (control-plane) build
         assert shard.engine._kernel is shard.kernel

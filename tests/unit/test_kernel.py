@@ -8,6 +8,8 @@ artifacts, the decision protocol, the fallback triggers, and the
 staleness/invalidation machinery.
 """
 
+import copy
+
 import pytest
 
 from repro import (
@@ -17,7 +19,8 @@ from repro import (
     ActiveRBACEngine,
     parse_policy,
 )
-from repro.kernel import compile_kernel
+from repro.kernel import PolicyKernel, compile_kernel
+from repro.obs import FALLBACK_REASONS
 
 POLICY = """
 policy kerneltest {
@@ -53,7 +56,7 @@ class TestCompile:
     def test_interning_is_dense_and_sorted(self, kernel):
         assert sorted(kernel.role_ids.values()) == list(
             range(len(kernel.role_ids)))
-        assert kernel.role_names == sorted(kernel.role_ids)
+        assert list(kernel.role_ids) == sorted(kernel.role_ids)
         assert len(kernel.perm_ids) == 3
 
     def test_hierarchy_closure_bitsets(self, kernel):
@@ -63,14 +66,13 @@ class TestCompile:
         for role in ("PM", "PC", "Clerk"):
             assert pm_juniors & (1 << rid[role])
         assert not pm_juniors & (1 << rid["AC"])
-        # seniors is the transpose
-        clerk_seniors = kernel.seniors_mask[rid["Clerk"]]
+        # Clerk is a junior of itself and of each of its seniors
         for role in ("Clerk", "PC", "PM"):
-            assert clerk_seniors & (1 << rid[role])
+            assert kernel.juniors_mask[rid[role]] & (1 << rid["Clerk"])
 
     def test_grant_masks_fold_junior_closure(self, kernel):
-        rid, pid = kernel.role_ids, kernel.perm_ids
-        pm = kernel.grant_masks[rid["PM"]]
+        pid = kernel.perm_ids
+        pm = kernel.grant_masks["PM"]
         # PM inherits PC's write-ledger and Clerk's read-memo
         assert pm & (1 << pid[("write", "ledger")])
         assert pm & (1 << pid[("read", "memo")])
@@ -93,39 +95,40 @@ class TestCompile:
         assert stats["permissions"] == 3
         assert stats["coverage_gap"] is None
         assert stats["static_rules"] >= 1
+        assert stats["static_rules"] + stats["dynamic_rules"] == len(
+            kernel.engine.rules)
+        assert stats["events_dispatched"] >= 1
         assert stats["build_us"] > 0
-        assert set(stats["fallbacks"]) == {
-            "coverage", "quarantine", "instrumented", "unknown_entity",
-            "context_role", "privacy", "stale_privacy"}
+        # fallback reasons are the engine's counter, not kernel tallies
+        assert "fallbacks" not in stats
 
 
 class TestEvaluate:
     def test_grant_deny_and_unknown_session(self, engine, kernel):
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Clerk")
-        assert kernel.evaluate(sid, "read", "memo") == KERNEL_GRANT
-        assert kernel.evaluate(sid, "write", "ledger") == KERNEL_DENY
-        assert kernel.evaluate("ghost", "read", "memo") == KERNEL_DENY
+        assert kernel.evaluate(sid, "read", "memo") == (KERNEL_GRANT, None)
+        assert kernel.evaluate(sid, "write", "ledger") == (KERNEL_DENY, None)
+        assert kernel.evaluate("ghost", "read", "memo") == (KERNEL_DENY, None)
 
     def test_unknown_permission_pair_is_deny(self, engine, kernel):
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Clerk")
-        assert kernel.evaluate(sid, "shred", "memo") == KERNEL_DENY
+        assert kernel.evaluate(sid, "shred", "memo") == (KERNEL_DENY, None)
 
     def test_locked_user_is_deny(self, engine, kernel):
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Clerk")
         engine.locked_users.add("bob")
-        assert kernel.evaluate(sid, "read", "memo") == KERNEL_DENY
+        assert kernel.evaluate(sid, "read", "memo") == (KERNEL_DENY, None)
 
     def test_quarantined_rule_falls_back(self, engine, kernel):
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Clerk")
         kernel._ca.quarantined = True
         try:
-            assert kernel.evaluate(sid, "read", "memo") == KERNEL_FALLBACK
-            assert kernel.fallbacks["quarantine"] == 1
-            assert kernel.last_fallback == "quarantine"
+            assert kernel.evaluate(sid, "read", "memo") == (
+                KERNEL_FALLBACK, "quarantine")
         finally:
             kernel._ca.quarantined = False
 
@@ -136,9 +139,8 @@ class TestEvaluate:
         saved = ca.actions
         ca.actions = tuple(ca.actions)  # new object, same behavior
         try:
-            assert kernel.evaluate(sid, "read", "memo") == KERNEL_FALLBACK
-            assert kernel.fallbacks["instrumented"] == 1
-            assert kernel.last_fallback == "instrumented"
+            assert kernel.evaluate(sid, "read", "memo") == (
+                KERNEL_FALLBACK, "instrumented")
         finally:
             ca.actions = saved
 
@@ -170,8 +172,8 @@ class TestDynamicFallbacks:
         kernel = engine.kernel()
         sid = engine.create_session("u0")
         engine.add_active_role(sid, "Field")
-        assert kernel.evaluate(sid, "read", "doc") == KERNEL_FALLBACK
-        assert kernel.fallbacks["context_role"] == 1
+        assert kernel.evaluate(sid, "read", "doc") == (
+            KERNEL_FALLBACK, "context_role")
         # and check_access still answers correctly through the fallback
         engine.context.set("network", "secure")
         assert engine.check_access(sid, "read", "doc")
@@ -193,20 +195,97 @@ class TestDynamicFallbacks:
         kernel = engine.kernel()
         sid = engine.create_session("u0")
         engine.add_active_role(sid, "Desk")
-        assert kernel.evaluate(sid, "read", "public") == KERNEL_GRANT
-        assert kernel.evaluate(sid, "read", "secret") == KERNEL_FALLBACK
-        assert kernel.fallbacks["privacy"] == 1
+        assert kernel.evaluate(sid, "read", "public") == (KERNEL_GRANT, None)
+        assert kernel.evaluate(sid, "read", "secret") == (
+            KERNEL_FALLBACK, "privacy")
 
     def test_privacy_added_after_compile(self, engine, kernel):
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Clerk")
-        assert kernel.evaluate(sid, "read", "memo") == KERNEL_GRANT
+        assert kernel.evaluate(sid, "read", "memo") == (KERNEL_GRANT, None)
         from repro.extensions.privacy import ObjectPolicy
         engine.privacy.add_purposes([("ops", None)])
         engine.privacy.add_policy(
             ObjectPolicy(obj="memo", operation="read", purpose="ops"))
-        assert kernel.evaluate(sid, "read", "memo") == KERNEL_FALLBACK
-        assert kernel.fallbacks["stale_privacy"] == 1
+        assert kernel.evaluate(sid, "read", "memo") == (
+            KERNEL_FALLBACK, "stale_privacy")
+
+
+REASONS_POLICY = """
+policy reasons {
+  role Desk; role Field;
+  user u0; user u1;
+  assign u0 to Desk; assign u1 to Field;
+  permission read on doc; permission read on secret;
+  grant read on doc to Desk; grant read on secret to Desk;
+  grant read on doc to Field;
+  context Field requires network == "secure" for access;
+  purpose ops;
+  object_policy read on secret for ops;
+}
+"""
+
+#: slots holding live engine state the kernel reads, never owns
+_LIVE_SLOTS = ("engine", "_ca", "_node", "_sessions")
+
+
+def kernel_state(kernel):
+    """Every slot's identity, plus a deep copy of each compiled one."""
+    return {slot: (id(getattr(kernel, slot)),
+                   None if slot in _LIVE_SLOTS
+                   else copy.deepcopy(getattr(kernel, slot)))
+            for slot in PolicyKernel.__slots__}
+
+
+class TestPureDecision:
+    def test_every_internal_reason_leaves_the_kernel_unchanged(self):
+        """evaluate returns each of the seven kernel-internal fallback
+        reasons and writes no kernel slot on the way (``__slots__``
+        leaves it nowhere else to write)."""
+        from repro.extensions.privacy import ObjectPolicy
+
+        engine = ActiveRBACEngine(parse_policy(REASONS_POLICY))
+        desk = engine.create_session("u0")
+        engine.add_active_role(desk, "Desk")
+        field = engine.create_session("u1")
+        engine.add_active_role(field, "Field")
+        kernel = engine.kernel()
+        state = kernel_state(kernel)
+        ca = kernel._ca
+        seen = {}
+
+        def reason(sid, operation, obj):
+            verdict, why = kernel.evaluate(sid, operation, obj)
+            assert verdict == KERNEL_FALLBACK
+            seen[why] = seen.get(why, 0) + 1
+            return why
+
+        assert reason(field, "read", "doc") == "context_role"
+        assert reason(desk, "read", "secret") == "privacy"
+        ca.quarantined = True
+        assert reason(desk, "read", "doc") == "quarantine"
+        ca.quarantined = False
+        saved = ca.actions
+        ca.actions = tuple(saved)
+        assert reason(desk, "read", "doc") == "instrumented"
+        ca.actions = saved
+        # direct model edits behind the kernel's epoch
+        engine.model.add_permission("read", "memo")
+        assert reason(desk, "read", "memo") == "unknown_entity"
+        engine.privacy.add_policy(
+            ObjectPolicy(obj="doc", operation="read", purpose="ops"))
+        assert reason(desk, "read", "doc") == "stale_privacy"
+        # an extra checkAccess listener is a compile-time coverage gap
+        engine.detector.subscribe("checkAccess", lambda *_: None)
+        gap = engine.kernel()
+        gap_state = kernel_state(gap)
+        verdict, why = gap.evaluate(desk, "read", "doc")
+        assert verdict == KERNEL_FALLBACK
+        seen[why] = 1
+
+        assert set(seen) == set(FALLBACK_REASONS[:7])
+        assert kernel_state(kernel) == state
+        assert kernel_state(gap) == gap_state
 
 
 class TestStaleness:
@@ -218,6 +297,28 @@ class TestStaleness:
         engine.grant_permission("Clerk", "read", "ledger")
         assert not kernel.fresh(engine)
         assert kernel.stale_reason(engine) == "epoch"
+
+    def test_past_epoch_kernel_answers_the_policy_it_compiled(
+            self, engine, kernel):
+        """A pair, a scope or a privacy policy added through the admin
+        API after the compile is a new epoch, not direct mutation: the
+        old reference answers as its policy did instead of falling
+        back."""
+        sid = engine.create_session("bob")
+        engine.add_active_role(sid, "Clerk")
+        engine.add_permission("shred", "bin")
+        engine.grant_permission("Clerk", "shred", "bin")
+        engine.add_scope("org")
+        engine.apply(("add_purpose", "ops", None))
+        engine.apply(("add_object_policy", "memo", "read", "ops", ()))
+        assert kernel.evaluate(sid, "shred", "bin") == (KERNEL_DENY, None)
+        assert kernel.evaluate(sid, "read", "memo", "org") == (
+            KERNEL_DENY, None)
+        assert kernel.evaluate(sid, "read", "memo") == (KERNEL_GRANT, None)
+        fresh = engine.kernel()
+        assert fresh.evaluate(sid, "shred", "bin") == (KERNEL_GRANT, None)
+        assert fresh.evaluate(sid, "read", "memo") == (
+            KERNEL_FALLBACK, "privacy")
 
     def test_wrong_engine_staleness(self, engine, kernel):
         other = ActiveRBACEngine(parse_policy(POLICY))
@@ -240,10 +341,10 @@ class TestStaleness:
         sid = engine.create_session("bob")
         engine.add_active_role(sid, "Clerk")
         assert engine.kernel().evaluate(
-            sid, "read", "ledger") == KERNEL_DENY
+            sid, "read", "ledger") == (KERNEL_DENY, None)
         engine.grant_permission("Clerk", "read", "ledger")
         assert engine.kernel().evaluate(
-            sid, "read", "ledger") == KERNEL_GRANT
+            sid, "read", "ledger") == (KERNEL_GRANT, None)
 
 
 class TestEngineFastPath:

@@ -105,6 +105,81 @@ class TestShadowComparator:
         assert comparator.divergence_rate == 0.0
 
 
+SCOPED = """
+policy s {
+  role Editor;
+  role Reader;
+  scope acme;
+  user ada;
+  user bob;
+  permission edit on doc;
+  permission read on doc;
+  grant edit on doc to Editor;
+  grant read on doc to Reader in acme;
+  assign ada to Editor in acme;
+  assign bob to Reader;
+}
+"""
+
+WITHOUT_NURSE = """
+policy p {
+  role doctor;
+  user alice;
+  user bob;
+  permission read on chart;
+  permission write on chart;
+  grant write on chart to doctor;
+  assign alice to doctor;
+}
+"""
+
+
+class TestShadowSharesTheKernelLoop:
+    """The canary re-decides through the kernel's own role loop, so an
+    identical candidate agrees with the live kernel on every check."""
+
+    def tapped(self, live_text, candidate_text):
+        engine = ActiveRBACEngine.from_policy(parse_policy(live_text))
+        shadow = ActiveRBACEngine.from_policy(parse_policy(candidate_text))
+        comparator = ShadowComparator(engine, shadow.kernel(),
+                                      RolloutBudget(), "t")
+        engine.decision_tap = comparator.observe
+        return engine, comparator
+
+    def test_scope_bounded_assignment_flat_check_matches(self):
+        engine, comparator = self.tapped(SCOPED, SCOPED)
+        sid = engine.create_session("ada")
+        engine.add_active_role(sid, "Editor")
+        # ada holds Editor only inside acme: the flat check denies
+        assert not engine.check_access(sid, "edit", "doc")
+        assert engine.check_access(sid, "edit", "doc", scope="acme")
+        assert (comparator.samples, comparator.matches) == (2, 2)
+        assert comparator.divergences == 0
+        assert comparator.verdict() != "refuse"
+
+    def test_kernel_served_scoped_check_is_a_sample(self):
+        engine, comparator = self.tapped(SCOPED, SCOPED)
+        sid = engine.create_session("bob")
+        engine.add_active_role(sid, "Reader")
+        assert engine.check_access(sid, "read", "doc", scope="acme")
+        assert not engine.check_access(sid, "edit", "doc", scope="acme")
+        assert engine.flight.snapshot()[-1]["path"] == "kernel"
+        assert (comparator.samples, comparator.matches) == (2, 2)
+        assert comparator.indeterminate == 0
+
+    def test_role_the_candidate_deleted_grants_nothing(self):
+        engine, comparator = self.tapped(BASE, WITHOUT_NURSE)
+        sid = engine.create_session("bob")
+        engine.add_active_role(sid, "nurse")
+        assert engine.check_access(sid, "read", "chart")
+        assert not engine.check_access(sid, "write", "chart")
+        assert comparator.indeterminate == 0
+        assert (comparator.samples, comparator.divergences) == (2, 1)
+        assert comparator.details == [{
+            "session": sid, "user": "bob", "operation": "read",
+            "object": "chart", "live": True, "shadow": False}]
+
+
 class TestTransitions:
     def test_adopt_then_stage_monotone(self, engine, tmp_path):
         lifecycle = PolicyLifecycle(engine, state_dir=str(tmp_path))
@@ -214,6 +289,27 @@ class TestTransitions:
         assert engine.check_access(sid, "read", "chart")  # restored
         assert engine.config_last_rollback["from_version"] == 2
         assert lifecycle.status()["phase"] == "idle"
+
+    def test_hold_sees_a_grant_on_a_newly_registered_pair(
+            self, engine, tmp_path):
+        """The previous kernel answers the policy it compiled: a pair
+        the promotion registered denies there, so the hold counts the
+        new grant as a divergence rather than an indeterminate."""
+        lifecycle = PolicyLifecycle(
+            engine, state_dir=str(tmp_path),
+            budget=RolloutBudget(min_samples=5, hold_checks=50))
+        lifecycle.adopt(1)
+        sid = engine.create_session("bob")
+        engine.add_active_role(sid, "nurse")
+        spec = candidate_spec(extra_grant=("nurse", "sign", "chart"))
+        spec.permissions.append(("sign", "chart"))
+        lifecycle.stage(ConfigSet.from_spec(spec, 2))
+        lifecycle.promote(force=True)
+        assert engine.check_access(sid, "sign", "chart")
+        assert lifecycle.hold.divergences == 1
+        transition = lifecycle.poll()
+        assert transition is not None and transition["rolled_back"] == 2
+        assert not engine.check_access(sid, "sign", "chart")
 
     def test_rollback_preserves_unrelated_drift(self, engine, tmp_path):
         lifecycle = PolicyLifecycle(

@@ -384,14 +384,26 @@ class TestExplain:
         assert "CA.checkAccess" in explanation.deny_cause
 
     def test_explain_is_read_only(self, engine, alice):
-        before = engine.kernel().stats()["fallbacks"]
+        def reasons():
+            return {labels["reason"]: child.value for labels, child
+                    in engine.obs.kernel_fallbacks.series()}
+
+        before = reasons()
         seq_before = engine.flight.seq
         decisions_before = {
             path: engine.obs.kernel_decisions.labels(path).value
             for path in ("grant", "deny", "fallback")}
         engine.explain(alice, "write", "budget")
         engine.explain(alice, "write", "nothing")
-        assert engine.kernel().stats()["fallbacks"] == before
+        # a kernel-internal fallback is explained, never counted
+        ca = engine.kernel()._ca
+        ca.quarantined = True
+        try:
+            assert engine.explain(
+                alice, "write", "budget").fallback_reason == "quarantine"
+        finally:
+            ca.quarantined = False
+        assert reasons() == before
         assert decisions_before == {
             path: engine.obs.kernel_decisions.labels(path).value
             for path in ("grant", "deny", "fallback")}

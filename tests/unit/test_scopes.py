@@ -151,7 +151,8 @@ class TestDecisionParity:
         ]
         kernel = engine.kernel()
         for sid, operation, scope in cases:
-            fast = kernel.evaluate(sid, operation, "document", scope)
+            fast, _reason = kernel.evaluate(sid, operation, "document",
+                                            scope)
             assert fast in (KERNEL_GRANT, KERNEL_DENY), (sid, scope)
             engine.kernel_enabled = False
             slow = engine.check_access(sid, operation, "document",

@@ -279,16 +279,16 @@ class TestEpochSwap:
         shard = router.shard("alpha")
         sid = shard.session_for("bob")
         old_kernel = shard.kernel
-        assert old_kernel.evaluate(sid, "edit", "doc") == KERNEL_DENY
+        assert old_kernel.evaluate(sid, "edit", "doc") == (KERNEL_DENY, None)
 
         shard.admin_op("grant", {
             "role": "Reader", "operation": "edit", "object": "doc"})
 
         # the old reference is immutable: same epoch, same verdict
         assert old_kernel.epoch < shard.kernel.epoch
-        assert old_kernel.evaluate(sid, "edit", "doc") == KERNEL_DENY
+        assert old_kernel.evaluate(sid, "edit", "doc") == (KERNEL_DENY, None)
         # the published kernel serves the new policy
-        assert shard.kernel.evaluate(sid, "edit", "doc") == KERNEL_GRANT
+        assert shard.kernel.evaluate(sid, "edit", "doc") == (KERNEL_GRANT, None)
         assert router.check("bob@alpha", "edit", "doc")["allowed"] is True
 
     def test_readers_never_recompile(self, router):
