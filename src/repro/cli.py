@@ -550,8 +550,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the service plane: one engine (+ optional WAL) per shard
     behind the asyncio HTTP front-end; serves until SIGTERM/SIGINT,
     then drains, flushes every WAL, and dumps every flight recorder.
+    The fleet lives as long as the process, so it is built with the
+    cyclic collector paused and then frozen out of later sweeps.
     """
     import asyncio
+    import gc
     import os
 
     from repro.federation import RoleMapping
@@ -561,22 +564,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("error: --decision-journal requires --wal",
               file=sys.stderr)
         return 2
-    router, durabilities = _boot_router(args)
-    for item in args.map or []:
-        try:
-            home, host = item.split("=", 1)
-            home_domain, home_role = home.split(":", 1)
-            host_domain, host_role = host.split(":", 1)
-        except ValueError:
-            print(f"error: --map expects HOME:ROLE=HOST:ROLE, "
-                  f"got {item!r}", file=sys.stderr)
-            return 2
-        router.add_mapping(RoleMapping(home_domain, home_role,
-                                       host_domain, host_role))
-    # config-declared federation maps (the --map equivalents baked
-    # into each shard's policy file) reconcile after every shard and
-    # explicit mapping is registered
-    router.sync_federation()
+    gc.collect()  # so that the freeze below holds no garbage
+    gc.disable()
+    try:
+        router, durabilities = _boot_router(args)
+        for item in args.map or []:
+            try:
+                home, host = item.split("=", 1)
+                home_domain, home_role = home.split(":", 1)
+                host_domain, host_role = host.split(":", 1)
+            except ValueError:
+                print(f"error: --map expects HOME:ROLE=HOST:ROLE, "
+                      f"got {item!r}", file=sys.stderr)
+                return 2
+            router.add_mapping(RoleMapping(home_domain, home_role,
+                                           host_domain, host_role))
+        # config-declared federation maps (the --map equivalents baked
+        # into each shard's policy file) reconcile after every shard
+        # and explicit mapping is registered
+        router.sync_federation()
+        gc.freeze()
+    finally:
+        gc.enable()
     flightrec_dir = (args.flightrec_dir
                      or os.environ.get("REPRO_FLIGHTREC_DIR"))
     app = ServeApp(router, drain_grace=args.drain_grace,

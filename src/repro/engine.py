@@ -58,11 +58,7 @@ from repro.rules.manager import RuleManager
 from repro.rules.rule import RuleOutcome
 from repro.security.audit import AuditLog
 from repro.security.monitor import ActiveSecurityMonitor
-from repro.synthesis.regenerate import (
-    moved_roles,
-    regenerate_roles,
-    rule_signatures,
-)
+from repro.synthesis.regenerate import regenerate_roles, rule_signatures
 
 
 class MonotonicSequence:
@@ -144,6 +140,9 @@ class ActiveRBACEngine(EnforcementHelpers):
         #: the policy in force; shared with its giver until apply() copies it
         self.policy = policy if policy is not None else PolicySpec()
         self._policy_shared = policy is not None
+        #: (policy, its rule signatures) after the last unbatched op: the
+        #: next op's "before" while ``self.policy`` is still that object
+        self._signatures: tuple[PolicySpec, dict[str, tuple]] | None = None
         self.model = build_model(self.policy)
         self.audit.names = self.model.names
         self.obs.attach_hierarchy(self.model.hierarchy)
@@ -267,12 +266,19 @@ class ActiveRBACEngine(EnforcementHelpers):
             raise AdministrationError(
                 f"{name}: the root scope is the flat op; omit the scope")
         step(self, *args)
+        kept, self._signatures = self._signatures, None
+        before = kept[1] if kept and kept[0] is self.policy else None
         if self._policy_shared:
             self.policy, self._policy_shared = self.policy.clone(), False
-        before = None if batch else rule_signatures(self.policy)
+        if before is None and not batch:
+            before = rule_signatures(self.policy)
         if not self.policy.apply(op):
             return None
-        roles = set() if batch else moved_roles(before, self.policy)
+        roles = set()
+        if not batch:
+            after = rule_signatures(self.policy)
+            self._signatures = (self.policy, after)
+            roles = {r for r, sig in after.items() if before.get(r) != sig}
         report = self._regenerate(roles) if roles else None
         if kind is not None:
             self.audit.record(kind, **dict(zip(keys, args)))

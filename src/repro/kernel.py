@@ -199,13 +199,14 @@ class PolicyKernel:
         # bounded *senior* assignment inherits the senior's bounds, and
         # any unbounded authorizing assignment lifts the limit (matches
         # RBACModel.assignment_covers).  Empty dict on flat policies
-        # keeps the flat path at one truthiness test.
+        # keeps the flat path at one truthiness test.  Only users with
+        # a bounded assignment can have a key, so only they are walked.
         self._scope_limited: dict[tuple[str, str], int] = {}
         if model._ua_scopes:
             bounded: dict[tuple[str, str], int] = {}
             unbounded: set[tuple[str, str]] = set()
-            for user, assigned in model._ua.items():
-                for holder in assigned:
+            for user in dict.fromkeys(u for u, _role in model._ua_scopes):
+                for holder in model._ua[user]:
                     bounds = model._ua_scopes.get((user, holder))
                     lim = 0
                     if bounds is not None:

@@ -563,6 +563,8 @@ class RBACModel:
         none of the gained roles cannot newly fire: with no such
         constraint the user's authorized roles are never computed.
         """
+        if not self.sod.has_ssd:
+            return []
         gained = self.hierarchy.juniors_inclusive(role)
         if not self.sod.ssd_mentions(gained):
             return []

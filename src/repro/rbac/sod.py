@@ -154,6 +154,10 @@ class SodRegistry:
     def ssd_sets(self) -> Iterator[SsdConstraint]:
         return iter(self._ssd.values())
 
+    @property
+    def has_ssd(self) -> bool:
+        return bool(self._ssd)
+
     def ssd_named(self, name: str) -> SsdConstraint:
         try:
             return self._ssd[name]

@@ -9,6 +9,8 @@ outcome trace of an engine with the kernel disabled — including the
 denial types, the post-mutation flips, and the state both engines end
 in.  A third property pins the equivalence across a WAL crash/recovery
 cycle, where the kernel is recompiled eagerly from the replayed state.
+The last two check the compiled assignment scope limits and the SSD
+refusal of assignments against references computed the long way.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from __future__ import annotations
 import random
 import tempfile
 
-from hypothesis import HealthCheck, example, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import ActiveRBACEngine
-from repro.errors import ReproError
+from repro.errors import ReproError, SsdViolationError
+from repro.policy.spec import PolicySpec, build_model
 from repro.workloads import EnterpriseShape, generate_enterprise
 
 
@@ -417,3 +421,126 @@ def test_equivalence_survives_wal_recovery(shape_seed, stream_seed):
         sweep_a = check_sweep(recovered_a, spec, stream_seed)
         sweep_b = check_sweep(recovered_b, spec, stream_seed)
         assert sweep_a == sweep_b
+
+
+# ----------------------------------------------------------------------
+# compile-time tables against references computed the long way
+# ----------------------------------------------------------------------
+
+ROLES = ("R0", "R1", "R2", "R3", "R4")
+USERS = ("u0", "u1", "u2", "u3")
+SCOPES = (("a", None), ("a/b", "a"), ("a/b/c", "a/b"), ("d", None))
+
+
+@st.composite
+def bounded_policies(draw):
+    """Random hierarchies over ROLES (edges only from a lower to a
+    higher index, so acyclic) with every (user, role) pair either
+    unassigned, assigned unbounded, or bounded to one or more scopes —
+    senior-bounded pairs arise wherever a bounded role has juniors."""
+    spec = PolicySpec(name="bounded")
+    for role in ROLES:
+        spec.add_role(role)
+    for user in USERS:
+        spec.add_user(user)
+    spec.scopes = list(SCOPES)
+    pairs = [(s, j) for i, s in enumerate(ROLES) for j in ROLES[i + 1:]]
+    spec.hierarchy = draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   max_size=6))
+    scope_names = [name for name, _parent in SCOPES]
+    for user in USERS:
+        for role in ROLES:
+            kind = draw(st.sampled_from(("none", "flat", "bounded")))
+            if kind == "flat":
+                spec.assignments.append((user, role))
+            elif kind == "bounded":
+                for scope in draw(st.lists(st.sampled_from(scope_names),
+                                           min_size=1, max_size=2,
+                                           unique=True)):
+                    spec.scoped_assignments.append((user, role, scope))
+    return spec
+
+
+def all_users_scope_limited(kernel, model):
+    """The (user, role) -> bound scope bits table, walking every user of
+    the model (the kernel walks only users holding a bounded pair)."""
+    bounded: dict[tuple[str, str], int] = {}
+    unbounded: set[tuple[str, str]] = set()
+    for user, assigned in model._ua.items():
+        for holder in assigned:
+            bounds = model._ua_scopes.get((user, holder))
+            lim = 0
+            for bound in bounds or ():
+                lim |= 1 << kernel.scope_ids[bound]
+            for member in model.hierarchy.juniors_inclusive(holder):
+                if bounds is None:
+                    unbounded.add((user, member))
+                else:
+                    bounded[user, member] = \
+                        bounded.get((user, member), 0) | lim
+    return {key: lim for key, lim in bounded.items()
+            if key not in unbounded}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=bounded_policies(), drop_seed=st.integers(0, 10_000))
+def test_scope_limited_table_matches_all_users_reference(spec, drop_seed):
+    """The compiled assignment scope limits equal the all-users walk,
+    at boot and after a deassignment recompiles the kernel."""
+    engine = ActiveRBACEngine(spec)
+    kernel = engine.kernel()
+    assert kernel._scope_limited == all_users_scope_limited(
+        kernel, engine.model)
+    held = sorted((user, role) for user, roles in engine.model._ua.items()
+                  for role in roles)
+    if held:
+        engine.deassign_user(*random.Random(drop_seed).choice(held))
+        kernel = engine.kernel()
+        assert kernel._scope_limited == all_users_scope_limited(
+            kernel, engine.model)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=bounded_policies(),
+       ssd=st.lists(st.sampled_from(ROLES), min_size=2, max_size=2,
+                    unique=True),
+       pair=st.tuples(st.sampled_from(USERS), st.sampled_from(ROLES)))
+def test_ssd_refuses_violating_assignments(spec, ssd, pair):
+    """With an SSD set present, build_model and assign_user refuse
+    exactly the assignments whose authorized-role closure holds both of
+    its roles."""
+    def violates(assigned):
+        authorized, todo = set(), list(assigned)
+        while todo:
+            role = todo.pop()
+            if role not in authorized:
+                authorized.add(role)
+                todo.extend(j for s, j in spec.hierarchy if s == role)
+        return set(ssd) <= authorized
+
+    # a role authorized for both SSD roles alone is a hierarchy
+    # conflict, refused before any assignment is considered
+    assume(not any(violates({role}) for role in ROLES))
+    spec.add_ssd("sod", set(ssd))
+    assigned = {user: set() for user in USERS}
+    for user, role in spec.assignments:
+        assigned[user].add(role)
+    for user, role, _scope in spec.scoped_assignments:
+        assigned[user].add(role)
+    if any(violates(roles) for roles in assigned.values()):
+        with pytest.raises(SsdViolationError):
+            build_model(spec)
+        return
+    model = build_model(spec)
+    user, role = pair
+    if role in assigned[user]:
+        return
+    if violates(assigned[user] | {role}):
+        with pytest.raises(SsdViolationError):
+            model.assign_user(user, role)
+        assert role not in model.assigned_roles(user)
+    else:
+        model.assign_user(user, role)
+        assert role in model.assigned_roles(user)

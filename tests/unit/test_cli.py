@@ -385,3 +385,82 @@ class TestServeBootFiles:
         report = shard.admin_op("reload", {})
         assert report["unchanged"] is True
         assert report["active_version"] == 1
+
+
+@pytest.fixture
+def boot_gc():
+    """A served boot freezes the heap it built; thaw it again so later
+    tests in this process collect their garbage as usual."""
+    import gc
+
+    yield gc
+    gc.unfreeze()
+
+
+class TestServeBootGc:
+    """``serve`` builds its fleet with the cyclic collector paused and
+    then freezes the built heap (no server is bound: ``ServeApp.run``
+    is replaced by the test body)."""
+
+    def test_collector_is_enabled_after_boot(self, tmp_path, monkeypatch,
+                                             boot_gc):
+        from repro.serve import ServeApp
+
+        seen = {}
+
+        async def run(app, host, port, port_file=None):
+            seen["enabled"] = boot_gc.isenabled()
+
+        monkeypatch.setattr(ServeApp, "run", run)
+        path = _json_config(tmp_path, "shard00")
+        assert main(["serve", "--shard", f"shard00={path}"]) == 0
+        assert seen == {"enabled": True}
+        assert boot_gc.isenabled()
+
+    def test_collector_is_enabled_after_a_failed_boot(self, tmp_path,
+                                                      boot_gc):
+        path = _json_config(tmp_path, "bad", users=("u", "ghost"))
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--shard", f"s={path}"])
+        assert exc.value.code == 1
+        assert boot_gc.isenabled()
+
+    def test_promoted_reload_frees_the_boot_policy(self, tmp_path,
+                                                   monkeypatch, boot_gc):
+        import json
+        import weakref
+
+        from repro.config import RolloutBudget
+        from repro.serve import ServeApp
+
+        path = _json_config(tmp_path, "shard00")
+        seen = {}
+
+        async def run(app, host, port, port_file=None):
+            shard = app.router.shard("shard00")
+            lifecycle = shard.lifecycle
+            boot_spec = weakref.ref(shard.engine.policy)
+            boot_config = weakref.ref(lifecycle.active)
+            path.write_text(json.dumps({
+                "version": 2, "name": "shard00", "roles": ["A"],
+                "users": ["u", "v"],
+                "assignments": [{"user": "u", "role": "A"},
+                                {"user": "v", "role": "A"}],
+            }))
+            lifecycle.budget = RolloutBudget(hold_checks=0)
+            shard.admin_op("reload", {})
+            shard.admin_op("config_promote", {"force": True})
+            shard.poll_lifecycle()  # a hold of 0 checks settles at once
+            boot_gc.collect()
+            seen["version"] = shard.engine.config_version
+            seen["users"] = sorted(shard.engine.policy.users)
+            seen["boot spec"] = boot_spec()
+            seen["boot config"] = boot_config()
+            boot_gc.unfreeze()  # nothing the freeze held was garbage
+            seen["frozen garbage"] = boot_gc.collect()
+
+        monkeypatch.setattr(ServeApp, "run", run)
+        assert main(["serve", "--shard", f"shard00={path}"]) == 0
+        assert seen == {"version": 2, "users": ["u", "v"],
+                        "boot spec": None, "boot config": None,
+                        "frozen garbage": 0}

@@ -9,7 +9,9 @@ from repro.synthesis.regenerate import (
     PolicyEditor,
     affected_roles,
     full_regeneration,
+    moved_roles,
     regenerate_roles,
+    rule_signatures,
     simulate_manual_edit,
 )
 
@@ -270,3 +272,19 @@ class TestOneRegenerationRule:
         assert "AAR1.B" in names(booted)
         assert names(single) == names(booted)
         assert names(swapped) == names(booted)
+
+    def test_direct_policy_write_drops_the_kept_signatures(self):
+        """``apply`` keeps the live policy's rule signatures for the
+        next op.  After a direct write of ``engine.policy`` they no
+        longer apply: the next op regenerates the roles that op moved in
+        the written policy, not the roles the write itself moved."""
+        engine = ActiveRBACEngine.from_policy(parse_policy(
+            "policy p { role A; role B; }"))
+        report = engine.apply(("add_role", "C", None))
+        assert report.seed_roles == {"C"}
+        written = engine.policy.clone()
+        written.add_hierarchy("A", "B")
+        engine.policy = written
+        before = rule_signatures(written)
+        report = engine.apply(("add_role", "D", None))
+        assert report.seed_roles == {"D"} == moved_roles(before, written)
